@@ -343,6 +343,47 @@ fn bench_chaos_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_rank_queue_tick(c: &mut Criterion) {
+    // one MAPE tick's worth of rank-scheduler traffic on a standing backlog:
+    // 250 dispatches and 250 newly ready tasks, then the dispatch-order walk
+    // the engine copies into every monitor snapshot
+    use wire_dag::{ExecProfile, TaskId, WorkflowBuilder};
+    use wire_simcloud::{CloudConfig, RankKind, RankScheduler, Scheduler, WorkflowSlot};
+
+    const BACKLOG: usize = 25_000;
+    const CHURN: usize = 250;
+    let n = BACKLOG + CHURN;
+    let mut b = WorkflowBuilder::new("backlog");
+    let stage = b.add_stage("s");
+    for _ in 0..n {
+        b.add_task(stage, 0, 0);
+    }
+    let wf = b.build().unwrap();
+    let prof = ExecProfile::new(
+        (0..n as u64)
+            .map(|i| Millis::from_secs(1 + (i * 7919) % 900))
+            .collect(),
+    );
+    let cfg = CloudConfig::default();
+    let mut q = RankScheduler::new(RankKind::Heft, n, &cfg);
+    q.prepare(&WorkflowSlot::solo(&wf), &prof);
+    for t in 0..BACKLOG as u32 {
+        q.push_ready(TaskId(t), stage);
+    }
+    // tasks waiting to become ready; each tick's pops refill it
+    let mut incoming: Vec<TaskId> = (BACKLOG as u32..n as u32).map(TaskId).collect();
+    c.bench_function("scheduler/rank_tick_25k_backlog", |bch| {
+        bch.iter(|| {
+            let popped: Vec<TaskId> = (0..CHURN).filter_map(|_| q.pop()).collect();
+            for t in incoming.drain(..) {
+                q.push_ready(t, stage);
+            }
+            incoming = popped;
+            std::hint::black_box(q.iter_in_order().count())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_predictor_update,
@@ -352,6 +393,7 @@ criterion_group!(
     bench_plan_tick,
     bench_end_to_end,
     bench_full_mape_iteration,
-    bench_chaos_overhead
+    bench_chaos_overhead,
+    bench_rank_queue_tick
 );
 criterion_main!(benches);

@@ -60,7 +60,7 @@ impl std::error::Error for RunError {}
 
 /// Engine-internal per-task lifecycle tag. The per-phase payloads live in
 /// side arrays ([`Engine::task_unmet`], [`Engine::task_run`]) — an SoA split
-/// so the hot phase scans (snapshot window rebuild, done-prefix advance,
+/// so the hot phase scans (naive snapshot rebuild, done-prefix advance,
 /// debug recounts) touch one byte per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskPhase {
@@ -72,7 +72,7 @@ enum TaskPhase {
 
 /// Placement + timing of a running task; valid only while its phase is
 /// [`TaskPhase::Running`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct RunInfo {
     instance: InstanceId,
     slot: u32,
@@ -194,9 +194,11 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     // persistent buffers reused every tick so the hot path allocates nothing
     snapshot_scratch: SnapshotScratch,
     resubmit_scratch: Vec<TaskId>,
-    /// Tasks currently in [`TaskState::Running`], maintained incrementally
-    /// so telemetry emit sites never scan the task table.
-    tasks_running: u32,
+    /// Debug oracle for [`Scheduler::iter_in_order`]: the scheduler's part of
+    /// the last tick's dispatch order, reversed, while no push has touched
+    /// the queue since; every pop must then take its last entry.
+    #[cfg(debug_assertions)]
+    debug_pop_order: Option<Vec<TaskId>>,
 
     // metrics
     busy_slot_time: Millis,
@@ -464,9 +466,10 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             new_completions: Vec::new(),
             interval_transfers: Vec::new(),
             interval_ooms: 0,
-            snapshot_scratch: SnapshotScratch::default(),
+            snapshot_scratch: SnapshotScratch::new(n),
             resubmit_scratch: Vec::new(),
-            tasks_running: 0,
+            #[cfg(debug_assertions)]
+            debug_pop_order: None,
             busy_slot_time: Millis::ZERO,
             wasted_slot_time: Millis::ZERO,
             units_total: 0,
@@ -886,8 +889,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
         let occupancy = self.clock - assigned_at;
         self.busy_slot_time += occupancy;
-        self.task_phase[task.index()] = TaskPhase::Done;
-        self.tasks_running -= 1;
+        self.set_phase(task, TaskPhase::Done);
         self.completions += 1;
         // advance the all-done watermark (amortized O(1) over the run)
         while self.done_prefix < self.total_tasks
@@ -1008,13 +1010,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.total_restarts += 1;
         self.oom_restarts += 1;
         self.interval_ooms += 1;
-        self.task_phase[task.index()] = TaskPhase::Ready;
-        self.tasks_running -= 1;
+        self.set_phase(task, TaskPhase::Ready);
         self.ready_at[task.index()] = self.clock;
         // next placement must budget for what the task actually used
         self.mem_demand[task.index()] =
             self.mem_demand[task.index()].max(self.mem_peak[task.index()]);
-        self.ready.push_resubmit(task);
+        self.push_resubmit(task);
         self.trace_push(TraceEvent::TaskOom { task, sunk });
         self.emit(TelemetryEvent::TaskOom {
             task: task.index() as u32,
@@ -1114,6 +1115,11 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             self.controller_wall += elapsed;
             (plan, elapsed)
         };
+        #[cfg(debug_assertions)]
+        {
+            let queued = &self.snapshot_scratch.ready_order[self.mem_blocked.len()..];
+            self.debug_pop_order = Some(queued.iter().rev().copied().collect());
+        }
         self.new_completions.clear();
         self.interval_transfers.clear();
         self.interval_ooms = 0;
@@ -1143,7 +1149,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                     self.count_draining,
                 )
             };
-            let running = self.tasks_running;
+            let running = self.snapshot_scratch.running.len() as u32;
             let ev = TelemetryEvent::MapeTick {
                 pool,
                 launching,
@@ -1354,10 +1360,9 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             self.epochs[task.index()] += 1; // cancels the in-flight TaskDone
             self.restarts[task.index()] += 1;
             self.total_restarts += 1;
-            self.task_phase[task.index()] = TaskPhase::Ready;
-            self.tasks_running -= 1;
+            self.set_phase(task, TaskPhase::Ready);
             self.ready_at[task.index()] = self.clock;
-            self.ready.push_resubmit(task);
+            self.push_resubmit(task);
             self.trace_push(TraceEvent::TaskResubmitted { task, sunk });
             self.emit(TelemetryEvent::TaskResubmitted {
                 task: task.index() as u32,
@@ -1372,11 +1377,47 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 
     // ---- scheduling ------------------------------------------------------
 
+    /// Every task phase change goes through here, so the snapshot scratch
+    /// sees each one: the row is marked for re-rendering at the next tick
+    /// and the dense running list is kept in step.
+    fn set_phase(&mut self, task: TaskId, phase: TaskPhase) {
+        let old = std::mem::replace(&mut self.task_phase[task.index()], phase);
+        let run = &self.task_run[task.index()];
+        self.snapshot_scratch.note_phase(task, old, phase, run);
+    }
+
     fn mark_ready(&mut self, t: TaskId) {
-        self.task_phase[t.index()] = TaskPhase::Ready;
+        self.set_phase(t, TaskPhase::Ready);
         self.ready_at[t.index()] = self.clock;
         let (_, stage) = self.task_info(t);
+        #[cfg(debug_assertions)]
+        {
+            self.debug_pop_order = None;
+        }
         self.ready.push_ready(t, stage);
+    }
+
+    fn push_resubmit(&mut self, t: TaskId) {
+        #[cfg(debug_assertions)]
+        {
+            self.debug_pop_order = None;
+        }
+        self.ready.push_resubmit(t);
+    }
+
+    /// Next task from the scheduler; in debug builds checked against the
+    /// dispatch order the last tick advertised to the policy.
+    fn pop_ready(&mut self) -> Option<TaskId> {
+        let task = self.ready.pop();
+        #[cfg(debug_assertions)]
+        if let Some(order) = &mut self.debug_pop_order {
+            debug_assert_eq!(
+                task,
+                order.pop(),
+                "scheduler pop diverged from its iter_in_order"
+            );
+        }
+        task
     }
 
     /// Greedily assign queued ready tasks to free slots (instances in id
@@ -1406,7 +1447,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                     let Some(slot) = self.slot_arena.free_slot(id) else {
                         break;
                     };
-                    let Some(task) = self.ready.pop() else {
+                    let Some(task) = self.pop_ready() else {
                         return;
                     };
                     self.assign(task, id, slot as u32);
@@ -1416,7 +1457,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
         while let Some(&i) = self.dispatchable.iter().next() {
             let id = InstanceId(i);
-            let Some(task) = self.ready.pop() else {
+            let Some(task) = self.pop_ready() else {
                 return;
             };
             let slot = self
@@ -1441,7 +1482,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             self.mem_blocked = blocked;
         }
         while !self.dispatchable.is_empty() {
-            let Some(task) = self.ready.pop() else {
+            let Some(task) = self.pop_ready() else {
                 return;
             };
             if !self.try_place(task) {
@@ -1504,8 +1545,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         if inst.occupied >= self.slot_arena.width_of(instance) {
             self.dispatchable.remove(&instance.0);
         }
-        self.tasks_running += 1;
-        self.task_phase[task.index()] = TaskPhase::Running;
         self.task_run[task.index()] = RunInfo {
             instance,
             slot,
@@ -1514,6 +1553,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             exec,
             transfer: t_in + t_out,
         };
+        // after the placement is written: the running list copies it
+        self.set_phase(task, TaskPhase::Running);
         self.queue.push(
             self.clock + occupancy,
             EventKind::TaskDone {
@@ -1801,6 +1842,28 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 held_count[i]
             );
         }
+        // the dense running list holds exactly the running tasks, each at
+        // its recorded position
+        let scratch = &self.snapshot_scratch;
+        for (pos, (t, run)) in scratch.running.iter().enumerate() {
+            debug_assert_eq!(
+                self.task_phase[t.index()],
+                TaskPhase::Running,
+                "{t} listed as running"
+            );
+            debug_assert_eq!(*run, self.task_run[t.index()], "{t} running copy drift");
+            debug_assert_eq!(
+                scratch.running_pos[t.index()] as usize,
+                pos,
+                "running position drift"
+            );
+        }
+        let running_tasks = self
+            .task_phase
+            .iter()
+            .filter(|p| **p == TaskPhase::Running)
+            .count();
+        debug_assert_eq!(scratch.running.len(), running_tasks, "running list drift");
         // phase counters vs full recounts (the old derivations)
         let done = self
             .task_phase
@@ -1958,21 +2021,86 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 /// Persistent backing store for the per-tick [`MonitorSnapshot`]. All Vecs
 /// (including the inner `InstanceView::tasks` Vecs) keep their capacity
 /// across ticks, so after warm-up the monitor phase allocates nothing.
+///
+/// Task rows persist across ticks and are maintained incrementally: a row is
+/// re-rendered only when its task changed phase since the last tick (the
+/// `dirty` list), when it first becomes visible, or when its task is running
+/// (its ages move with the clock; the dense `running` list holds exactly
+/// those). The per-tick monitor cost therefore tracks what changed plus what
+/// runs, not every task ever arrived. The naive core rebuilds every row.
 #[derive(Default)]
 struct SnapshotScratch {
     tasks: Vec<TaskView>,
-    /// Rows `< clean` were `Done` (and therefore time-independent) when they
-    /// were last built, so the next tick keeps them and rebuilds only
-    /// `[clean..visible]` — the per-tick monitor cost tracks *live* tasks,
-    /// not all tasks ever arrived. Naive mode passes `done_prefix = 0`,
-    /// forcing the historical full rebuild.
-    clean: usize,
+    /// Tasks whose phase changed since the last build (repeats allowed).
+    dirty: Vec<TaskId>,
+    /// Every task currently `Running`, in no particular order, with a copy
+    /// of its placement so the per-tick age refresh reads one dense array.
+    running: Vec<(TaskId, RunInfo)>,
+    /// Per-task index into `running`; meaningful while the task runs.
+    running_pos: Vec<u32>,
     /// Overwritten in place; only `instances[..instances_len]` is live. Slots
     /// past the logical length are kept so a shrinking pool doesn't drop the
     /// inner task-Vec capacity it will need when the pool grows again.
     instances: Vec<InstanceView>,
     instances_len: usize,
     ready_order: Vec<TaskId>,
+}
+
+impl SnapshotScratch {
+    fn new(num_tasks: usize) -> Self {
+        SnapshotScratch {
+            running_pos: vec![0; num_tasks],
+            ..SnapshotScratch::default()
+        }
+    }
+
+    /// Record one phase change: mark the row dirty and keep the running list
+    /// in step (O(1) swap-remove on leaving `Running`).
+    fn note_phase(&mut self, task: TaskId, old: TaskPhase, new: TaskPhase, run: &RunInfo) {
+        self.dirty.push(task);
+        if old == TaskPhase::Running {
+            let pos = self.running_pos[task.index()] as usize;
+            self.running.swap_remove(pos);
+            if let Some(&(moved, _)) = self.running.get(pos) {
+                self.running_pos[moved.index()] = pos as u32;
+            }
+        }
+        if new == TaskPhase::Running {
+            self.running_pos[task.index()] = self.running.len() as u32;
+            self.running.push((task, *run));
+        }
+    }
+}
+
+/// The policy-visible view of task `i`: the one phase → [`TaskView`] match.
+fn render_task(
+    i: usize,
+    phase: TaskPhase,
+    now: Millis,
+    runs: &[RunInfo],
+    records: &[Option<TaskRecord>],
+) -> TaskView {
+    match phase {
+        TaskPhase::Unready => TaskView::Unready,
+        TaskPhase::Ready => TaskView::Ready,
+        TaskPhase::Running => running_view(&runs[i], now),
+        TaskPhase::Done => {
+            let r = records[i].expect("done task has a record");
+            TaskView::Done {
+                exec_time: r.exec_time,
+                transfer_time: r.transfer_time,
+            }
+        }
+    }
+}
+
+/// A running task's row; its ages move with the clock.
+fn running_view(run: &RunInfo, now: Millis) -> TaskView {
+    TaskView::Running {
+        instance: run.instance,
+        exec_age: now.saturating_sub(run.exec_start),
+        occupied_for: now - run.assigned_at,
+    }
 }
 
 /// Build the sanitized policy-visible snapshot from disjoint engine fields
@@ -2003,36 +2131,26 @@ fn build_snapshot<'a, S: Scheduler>(
     spent_milli: u64,
 ) -> MonitorSnapshot<'a> {
     let visible = phases.len();
-    // Rows below `scratch.clean` were Done at the last build; Done is
-    // permanent and its view time-independent, so keep them verbatim and
-    // rebuild only the live window.
-    let start = scratch.clean.min(visible).min(scratch.tasks.len());
-    scratch.tasks.truncate(start);
-    scratch
-        .tasks
-        .extend(phases[start..].iter().enumerate().map(|(off, ph)| {
-            let i = start + off;
-            match ph {
-                TaskPhase::Unready => TaskView::Unready,
-                TaskPhase::Ready => TaskView::Ready,
-                TaskPhase::Running => {
-                    let run = runs[i];
-                    TaskView::Running {
-                        instance: run.instance,
-                        exec_age: now.saturating_sub(run.exec_start),
-                        occupied_for: now - run.assigned_at,
-                    }
-                }
-                TaskPhase::Done => {
-                    let r = records[i].expect("done task has a record");
-                    TaskView::Done {
-                        exec_time: r.exec_time,
-                        transfer_time: r.transfer_time,
-                    }
-                }
-            }
-        }));
-    scratch.clean = done_prefix.min(visible);
+    // active_ids is withheld exactly when the engine runs naive
+    let naive = active_ids.is_none();
+    let render = |i: usize| render_task(i, phases[i], now, runs, records);
+    if naive {
+        // the historical full rebuild of every visible row
+        scratch.tasks.clear();
+        scratch.tasks.extend((0..visible).map(render));
+    } else {
+        // rows of newly arrived workflows, then rows that changed phase and
+        // running rows, whose ages move with the clock
+        let kept = scratch.tasks.len();
+        scratch.tasks.extend((kept..visible).map(render));
+        for &t in &scratch.dirty {
+            scratch.tasks[t.index()] = render(t.index());
+        }
+        for (t, run) in &scratch.running {
+            scratch.tasks[t.index()] = running_view(run, now);
+        }
+    }
+    scratch.dirty.clear();
 
     let mut live = 0usize;
     let mut emit_instance = |i: &Instance| {
@@ -2083,13 +2201,38 @@ fn build_snapshot<'a, S: Scheduler>(
     scratch.ready_order.extend_from_slice(mem_blocked);
     scratch.ready_order.extend(ready.iter_in_order());
 
+    // oracle: the maintained rows are exactly a fresh render, and every
+    // Ready task is either memory-parked or queued in the scheduler
+    #[cfg(debug_assertions)]
+    {
+        debug_assert_eq!(
+            scratch.tasks.len(),
+            visible,
+            "task rows cover the visible prefix"
+        );
+        let mut ready_rows = 0;
+        for (i, row) in scratch.tasks.iter().enumerate() {
+            debug_assert_eq!(*row, render(i), "stale snapshot row t{i}");
+            ready_rows += (phases[i] == TaskPhase::Ready) as usize;
+        }
+        debug_assert_eq!(
+            ready_rows,
+            scratch.ready_order.len(),
+            "ready order misses a task"
+        );
+        debug_assert_eq!(
+            ready.len() + mem_blocked.len(),
+            ready_rows,
+            "scheduler length drift"
+        );
+    }
+
     MonitorSnapshot {
         now,
         workflows,
         config,
         done_prefix: done_prefix.min(visible),
-        // active_ids is withheld exactly when the engine runs naive
-        naive: active_ids.is_none(),
+        naive,
         tasks: &scratch.tasks,
         instances: &scratch.instances[..scratch.instances_len],
         new_completions,

@@ -16,7 +16,7 @@
 //! dispatch-order projection follows whatever scheduler is installed without
 //! knowing which one it is.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +67,9 @@ pub trait Scheduler {
     fn pop(&mut self) -> Option<TaskId>;
 
     /// Dispatch order without consuming the queue; must match the order a
-    /// sequence of `pop` calls would produce.
+    /// sequence of `pop` calls would produce. The engine calls this on every
+    /// MAPE tick over the whole ready backlog, so it must be an in-order walk
+    /// of the queue's own structure, not a copy-and-sort per call.
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = TaskId> + '_>;
 
     /// Number of queued tasks.
@@ -370,7 +372,8 @@ impl RankKind {
 /// latest resubmission pops first.
 const SEQ_BASE: u64 = 1 << 32;
 
-/// One queued task: max-heap on `(key, older-first, task id)`.
+/// One queued task, ordered by `(key, older-first, task id)`; the queue pops
+/// its maximum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     key: u64,
@@ -401,7 +404,10 @@ pub struct RankScheduler {
     kind: RankKind,
     /// Per-global-task priority key, filled by `prepare`.
     key: Vec<u64>,
-    heap: BinaryHeap<Entry>,
+    /// Queued tasks; the last (maximum) entry pops first. An ordered set
+    /// rather than a heap so the per-tick dispatch-order walk is an in-order
+    /// iteration instead of a copy and sort of the whole backlog.
+    queue: BTreeSet<Entry>,
     next_seq: u64,
     next_resubmit: u64,
     charging_unit: Millis,
@@ -421,7 +427,7 @@ impl RankScheduler {
         RankScheduler {
             kind,
             key: vec![0; num_tasks],
-            heap: BinaryHeap::new(),
+            queue: BTreeSet::new(),
             next_seq: SEQ_BASE,
             next_resubmit: SEQ_BASE,
             charging_unit: cfg.charging_unit,
@@ -475,7 +481,7 @@ impl Scheduler for RankScheduler {
     fn push_ready(&mut self, task: TaskId, _stage: StageId) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        self.queue.insert(Entry {
             key: self.key[task.index()],
             seq,
             task,
@@ -484,7 +490,7 @@ impl Scheduler for RankScheduler {
 
     fn push_resubmit(&mut self, task: TaskId) {
         self.next_resubmit -= 1;
-        self.heap.push(Entry {
+        self.queue.insert(Entry {
             key: self.key[task.index()],
             seq: self.next_resubmit,
             task,
@@ -492,17 +498,15 @@ impl Scheduler for RankScheduler {
     }
 
     fn pop(&mut self) -> Option<TaskId> {
-        self.heap.pop().map(|e| e.task)
+        self.queue.pop_last().map(|e| e.task)
     }
 
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = TaskId> + '_> {
-        let mut entries: Vec<Entry> = self.heap.iter().copied().collect();
-        entries.sort_by(|a, b| b.cmp(a));
-        Box::new(entries.into_iter().map(|e| e.task))
+        Box::new(self.queue.iter().rev().map(|e| e.task))
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 }
 
@@ -511,8 +515,8 @@ impl Scheduler for RankScheduler {
 fn rank_keys(kind: RankKind, wf: &Workflow, prof: &ExecProfile, unit: Millis) -> Vec<u64> {
     match kind {
         RankKind::Heft => upward_rank_ms(wf, prof),
-        // shortest first: invert so the smallest execution time wins the
-        // max-heap (homogeneous slots make min-min completion-time greedy
+        // shortest first: invert so the smallest execution time pops
+        // first (homogeneous slots make min-min completion-time greedy
         // equivalent to shortest-task-first among ready tasks)
         RankKind::MinMin => wf
             .task_ids()

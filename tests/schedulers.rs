@@ -80,6 +80,160 @@ proptest! {
     }
 }
 
+// ---- differential: ordered-set rank queue vs the historical heap ----------
+
+/// Arrival sequence base of the rank queue: resubmissions count down from it.
+const SEQ_BASE: u64 = 1 << 32;
+
+/// The rank queue as it was before it became an ordered set, kept as the
+/// oracle: a max-heap of `(key, older-first, task id)` whose dispatch-order
+/// walk copies and sorts the whole heap.
+struct HeapRankOracle {
+    key: Vec<u64>,
+    heap: std::collections::BinaryHeap<OracleEntry>,
+    next_seq: u64,
+    next_resubmit: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OracleEntry {
+    key: u64,
+    seq: u64,
+    task: TaskId,
+}
+
+impl Ord for OracleEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key
+            .cmp(&other.key)
+            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.task.cmp(&self.task))
+    }
+}
+
+impl PartialOrd for OracleEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl HeapRankOracle {
+    fn new(key: Vec<u64>) -> Self {
+        HeapRankOracle {
+            key,
+            heap: std::collections::BinaryHeap::new(),
+            next_seq: SEQ_BASE,
+            next_resubmit: SEQ_BASE,
+        }
+    }
+}
+
+impl Scheduler for HeapRankOracle {
+    fn push_ready(&mut self, task: TaskId, _stage: StageId) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let key = self.key[task.index()];
+        self.heap.push(OracleEntry { key, seq, task });
+    }
+
+    fn push_resubmit(&mut self, task: TaskId) {
+        self.next_resubmit -= 1;
+        let key = self.key[task.index()];
+        let seq = self.next_resubmit;
+        self.heap.push(OracleEntry { key, seq, task });
+    }
+
+    fn pop(&mut self) -> Option<TaskId> {
+        self.heap.pop().map(|e| e.task)
+    }
+
+    fn iter_in_order(&self) -> Box<dyn Iterator<Item = TaskId> + '_> {
+        let mut entries: Vec<OracleEntry> = self.heap.iter().copied().collect();
+        entries.sort_by(|a, b| b.cmp(a));
+        Box::new(entries.into_iter().map(|e| e.task))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// The static keys a rank member assigns to a workflow of independent
+/// tasks: with no edges the upward rank is the task's own execution time.
+fn flat_keys(member: &str, exec_ms: &[u64], unit_ms: u64) -> Vec<u64> {
+    exec_ms
+        .iter()
+        .map(|&ms| match member {
+            "heft" => ms,
+            "minmin" => u64::MAX - ms,
+            "cpath" => ms.div_ceil(unit_ms),
+            other => panic!("unknown rank member {other}"),
+        })
+        .collect()
+}
+
+// Every rank flavour, prepared on a flat workflow whose execution times
+// straddle charging-unit boundaries (so keys tie within and across
+// classes), must pop exactly like the historical heap over arbitrary
+// ready/resubmit/pop interleavings — and advertise the same dispatch order
+// after every single operation.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rank_queue_is_pop_for_pop_identical_to_the_heap_oracle(
+        halves in proptest::collection::vec(0u64..6, 1..40),
+        raw in proptest::collection::vec((0u8..=2, 0u32..64), 0..160),
+    ) {
+        let cfg = CloudConfig::default();
+        let unit_ms = cfg.charging_unit.as_ms();
+        // half charging units plus a per-task millisecond offset
+        let exec_ms: Vec<u64> = halves
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| h * unit_ms / 2 + (i % 3) as u64)
+            .collect();
+        let n = exec_ms.len();
+        let mut b = WorkflowBuilder::new("flat");
+        let stage = b.add_stage("s");
+        for _ in 0..n {
+            b.add_task(stage, 0, 0);
+        }
+        let wf = b.build().unwrap();
+        let prof = ExecProfile::new(exec_ms.iter().map(|&ms| Millis(ms)).collect());
+        let ops: Vec<(Op, TaskId, StageId)> = raw
+            .iter()
+            .map(|&(k, t)| {
+                let op = match k {
+                    0 => Op::Ready,
+                    1 => Op::Resubmit,
+                    _ => Op::Pop,
+                };
+                (op, TaskId(t % n as u32), stage)
+            })
+            .collect();
+
+        for kind in [RankKind::Heft, RankKind::MinMin, RankKind::CriticalPath, RankKind::Portfolio] {
+            let mut rank = RankScheduler::new(kind, n, &cfg);
+            Scheduler::prepare(&mut rank, &WorkflowSlot::solo(&wf), &prof);
+            let member = rank.chosen_members()[0];
+            let mut oracle = HeapRankOracle::new(flat_keys(member, &exec_ms, unit_ms));
+            for (i, op) in ops.iter().enumerate() {
+                let step = std::slice::from_ref(op);
+                prop_assert_eq!(
+                    drive(&mut oracle, step),
+                    drive(&mut rank, step),
+                    "{}: pop diverged at op {}", kind.tag(), i
+                );
+                let order_oracle: Vec<TaskId> = oracle.iter_in_order().collect();
+                let order_rank: Vec<TaskId> = Scheduler::iter_in_order(&rank).collect();
+                prop_assert_eq!(order_oracle, order_rank, "{}: order diverged at op {}", kind.tag(), i);
+                prop_assert_eq!(oracle.len(), Scheduler::len(&rank));
+            }
+        }
+    }
+}
+
 // ---- chaos: every scheduler through the invariant checker ------------------
 
 /// A kill storm (pool wipe at the second stage, a later targeted kill, lag
