@@ -251,6 +251,26 @@ impl Cell {
         }
     }
 
+    /// Expected cost of running this cell in task-ticks: aggregate task time
+    /// divided by the MAPE interval. Derived from the spec alone (no DAG is
+    /// generated), so it costs nothing next to the run it predicts; the
+    /// runner starts the heaviest cells first.
+    pub fn cost_hint(&self) -> u64 {
+        let task_ms = match &self.workload {
+            CellWorkload::Catalog(id) => id
+                .spec()
+                .stages
+                .iter()
+                .map(|s| s.tasks as f64 * s.mean_exec_secs * 1e3)
+                .sum::<f64>() as u64,
+            CellWorkload::LinearStage { n, r } => (*n as u64).saturating_mul(r.as_ms()),
+            CellWorkload::RestartProbe => {
+                8 * (Millis::from_mins(2).as_ms() + Millis::from_mins(25).as_ms())
+            }
+        };
+        task_ms / self.cfg.mape_interval.as_ms().max(1)
+    }
+
     /// Human-readable cell label for progress lines and violation reports.
     pub fn label(&self) -> String {
         format!(

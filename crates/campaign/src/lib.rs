@@ -1,10 +1,11 @@
 //! Sharded experiment-campaign runner with a content-addressed result cache.
 //!
 //! A campaign is a list of fully-resolved [`Cell`]s — one `Session::run()`
-//! each — executed across a real thread pool (the vendored `rayon`
-//! stand-in's chunked `std::thread::scope` pool, sized by `WIRE_THREADS`)
-//! and merged back **in spec order**, so every derived artifact is
-//! byte-identical regardless of thread count. Completed cells are memoized
+//! each — executed heaviest first ([`Cell::cost_hint`]) across a real
+//! thread pool (the vendored `rayon` stand-in's `std::thread::scope` pool,
+//! one cell per claim, sized by `WIRE_THREADS`) and merged back **in spec
+//! order**, so every derived artifact is byte-identical regardless of
+//! thread count. Completed cells are memoized
 //! under `results/cache/` keyed by a stable FNV-1a hash of every semantic
 //! input ([`cache_key`]); re-running a campaign after an interruption, or
 //! regenerating a figure whose cells were already paid for by another

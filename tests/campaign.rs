@@ -6,7 +6,9 @@
 //! * a warm-cache rerun executes zero cells and still produces the same
 //!   bytes;
 //! * corrupt cache entries (truncated or garbled) are detected, counted and
-//!   recomputed — never served.
+//!   recomputed — never served;
+//! * invariant violations come back sorted by cell, identically at any
+//!   thread count.
 
 use std::path::PathBuf;
 
@@ -329,4 +331,37 @@ fn corrupt_cache_entries_are_detected_and_recomputed() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(healed.executed, 0);
     assert_eq!(healed.outputs, cold.outputs);
+}
+
+#[test]
+fn violations_are_sorted_by_cell_at_any_thread_count() {
+    // two restart-guard mutants among clean cells. The later one ticks
+    // three times as often, so its cost hint is higher and heaviest-first
+    // finishes it before the earlier one even on a single thread.
+    let mut late = Cell::restart_probe(true);
+    late.cfg.mape_interval = Millis::from_mins(1);
+    let mut cells = grid_cells(&ExperimentGrid::paper(vec![WorkloadId::Tpch6S], 1));
+    cells.insert(1, Cell::restart_probe(true));
+    cells.insert(5, Cell::restart_probe(false));
+    cells.push(late);
+    let mutants = [1, cells.len() - 1];
+    let checked = |threads| CampaignConfig {
+        check: true,
+        ..uncached(threads)
+    };
+    let one = run_campaign(&cells, &checked(1)).violations;
+    let four = run_campaign(&cells, &checked(4)).violations;
+    assert_eq!(one, four, "violation order depends on thread count");
+    let offenders: Vec<usize> = one.iter().map(|v| v.cell).collect();
+    assert!(
+        offenders.windows(2).all(|w| w[0] <= w[1]),
+        "violations not sorted by cell: {offenders:?}"
+    );
+    for m in mutants {
+        assert!(offenders.contains(&m), "mutant cell {m} not reported");
+    }
+    assert!(
+        offenders.iter().all(|i| mutants.contains(i)),
+        "a clean cell reported a violation: {offenders:?}"
+    );
 }
