@@ -1,5 +1,5 @@
 //! Offline analysis of an archived campaign (`results/campaign.csv`, written
-//! by the `fig5` binary): per-cell summaries plus paired wire-vs-full-site
+//! by `wire campaign fig5`): per-cell summaries plus paired wire-vs-full-site
 //! statistics, without re-running any simulation.
 
 use wire_core::{paired, parse_csv, summarize, FlatRun};
@@ -12,7 +12,7 @@ fn main() {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
-            eprintln!("run `cargo run -p wire-bench --bin fig5` first to produce it");
+            eprintln!("run `wire campaign fig5` first to produce it");
             std::process::exit(1);
         }
     };

@@ -6,7 +6,8 @@
 //! average |error| and the fraction of tasks within 1 s (short/medium) or
 //! 15 % (long).
 
-use wire_bench::{emit, quick_mode, save_csv};
+use wire_bench::quick_mode;
+use wire_campaign::figures::{emit, save_csv};
 use wire_core::prediction::{stage_order_spread, PredictionStudy};
 use wire_core::Table;
 use wire_predictor::StageClass;

@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use wire_bench::results_dir;
+use wire_campaign::figures::results_dir;
 use wire_dag::Millis;
 use wire_obs::StreamingRecorder;
 use wire_planner::StaticPolicy;

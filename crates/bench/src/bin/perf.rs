@@ -17,7 +17,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use wire_bench::results_dir;
+use wire_campaign::figures::results_dir;
 use wire_dag::Millis;
 use wire_planner::WirePolicy;
 use wire_simcloud::{CloudConfig, Session, TransferModel};
@@ -46,7 +46,7 @@ const BASELINE_N1000_MEDIAN_TICK_US: f64 = 32.0;
 
 /// Stage runtime R and charging unit U of the sweep (fig2's R < U regime;
 /// the control interval becomes min(R, U)/20 = 3 s as in
-/// `linear_stage_ratios`).
+/// `wire_campaign::Cell::linear`).
 const STAGE_RUNTIME_SECS: u64 = 60;
 const CHARGING_UNIT_MINS: u64 = 15;
 

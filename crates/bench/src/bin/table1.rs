@@ -1,6 +1,6 @@
 //! Regenerate Table I: workflow characteristics, paper-reported vs generated.
 
-use wire_bench::emit;
+use wire_campaign::figures::emit;
 use wire_core::Table;
 use wire_dag::width_profile;
 use wire_workloads::WorkloadId;

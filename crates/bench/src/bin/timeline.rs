@@ -1,7 +1,8 @@
 //! Export the pool-size timeline of one run per setting — the data behind a
 //! "pool size over time" utilization plot (companion to Figures 5/6).
 
-use wire_bench::{emit, quick_mode};
+use wire_bench::quick_mode;
+use wire_campaign::figures::emit;
 use wire_core::experiment::{run_setting, Setting};
 use wire_core::Table;
 use wire_dag::Millis;

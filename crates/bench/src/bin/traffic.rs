@@ -22,7 +22,8 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use wire_bench::{peak_rss_bytes, results_dir};
+use wire_bench::peak_rss_bytes;
+use wire_campaign::figures::results_dir;
 use wire_campaign::{run_traffic, TrafficReport, TrafficSpec};
 
 /// Indexed events/sec must be at least this multiple of the naive core's on

@@ -1,38 +1,24 @@
-//! Shared plumbing for the table/figure regeneration binaries.
+//! Shared plumbing for the table/figure binaries that sit outside the
+//! campaign runner.
 //!
-//! Each binary regenerates one artifact of the paper's evaluation:
+//! The campaign-backed figures (Figures 2, 3, 5 and 6, the headline claims,
+//! the ablations, policy usage, the §IV-F overhead study and the scheduler,
+//! spot and budget sweeps) regenerate through `wire campaign <target>`. The
+//! binaries here cover the rest:
 //!
 //! | binary     | artifact | content |
 //! |------------|----------|---------|
 //! | `table1`   | Table I  | workload characteristics, paper vs generated |
-//! | `fig2`     | Figure 2 | steering policy vs optimal, R > U |
-//! | `fig3`     | Figure 3 | steering policy vs optimal, R ≤ U |
 //! | `fig4`     | Figure 4 | prediction-error CDFs per workload/class |
-//! | `fig5`     | Figure 5 | resource cost across settings × charging units |
-//! | `fig6`     | Figure 6 | relative execution time across settings × units |
-//! | `overhead` | §IV-F    | controller memory and wall-time overhead |
-//! | `headline` | §I/§IV-E | cost ratios, slowdowns, fraction within 2× |
-//! | `ablation` | §III-C/D | first-five priority, OGD, waste threshold |
+//! | `timeline` | Figs 5/6 | pool-size timelines, one run per setting |
+//! | `analyze`  | Figure 5 | offline paired analysis of `results/campaign.csv` |
+//! | `perf`     | —        | MAPE plan-tick cost trajectory |
+//! | `obs`      | —        | streaming-observability overhead contract |
+//! | `traffic`  | —        | service-scale traffic throughput contract |
 //!
-//! Binaries print aligned tables to stdout and drop CSV files under
-//! `results/`. Pass `--quick` to any of them for a reduced sweep.
-
-use std::path::{Path, PathBuf};
-use wire_core::Table;
-
-/// Directory (relative to the workspace root) where CSVs land.
-pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Write a table as `results/<name>.csv` and return the path.
-pub fn save_csv(name: &str, table: &Table) -> PathBuf {
-    let path = results_dir().join(format!("{name}.csv"));
-    std::fs::write(&path, table.to_csv()).expect("write csv");
-    path
-}
+//! Binaries print aligned tables to stdout and drop CSV/JSON files under
+//! `results/` (through `wire_campaign::figures`). Pass `--quick` for a
+//! reduced sweep where a binary offers one.
 
 /// `--quick` flag: smaller sweeps for CI-ish runs.
 pub fn quick_mode() -> bool {
@@ -52,110 +38,4 @@ pub fn peak_rss_bytes() -> Option<u64> {
         }
     }
     None
-}
-
-/// Build the campaign front-end driver for a figure binary from its CLI
-/// flags: `--quick` (reduced sweep), `--threads N` (worker override),
-/// `--force` (ignore cached cells), `--no-cache` (bypass the cache
-/// entirely), `--check` (shadow every executed cell with the chaos
-/// invariant checker), `--scheduler <tag>` (restrict the scheduler sweep;
-/// tags as in [`wire_simcloud::SchedulerSpec::tag`]).
-pub fn figure_runner() -> wire_campaign::FigureRunner {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = wire_campaign::CampaignConfig {
-        progress: true,
-        ..Default::default()
-    };
-    let mut scheduler = None;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threads" => {
-                cfg.threads = it.next().and_then(|v| v.parse().ok());
-            }
-            "--force" => cfg.mode = wire_campaign::CacheMode::Force,
-            "--no-cache" => cfg.mode = wire_campaign::CacheMode::Off,
-            "--check" => cfg.check = true,
-            "--scheduler" => {
-                let tag = it.next().map(String::as_str).unwrap_or("");
-                match wire_simcloud::SchedulerSpec::parse(tag) {
-                    Some(spec) => scheduler = Some(spec),
-                    None => {
-                        eprintln!(
-                            "unknown --scheduler {tag:?}; valid: {}",
-                            wire_simcloud::SchedulerSpec::ALL
-                                .map(|s| s.tag())
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    wire_campaign::FigureRunner {
-        cfg,
-        quick: quick_mode(),
-        scheduler,
-    }
-}
-
-/// Print a figure binary's campaign statistics and fail the process if the
-/// invariant checker (`--check`) flagged anything.
-pub fn note_campaign(name: &str, outcome: &wire_campaign::FigureOutcome) {
-    eprintln!(
-        "{name}: {} cells ({} executed, {} cached, {} corrupt entries recomputed)",
-        outcome.cells, outcome.executed, outcome.cache_hits, outcome.corrupt_entries
-    );
-    if !outcome.violations.is_empty() {
-        for v in &outcome.violations {
-            eprintln!(
-                "{name}: INVARIANT VIOLATION in cell {} [{}]: {}",
-                v.cell, v.label, v.message
-            );
-        }
-        std::process::exit(1);
-    }
-}
-
-/// Print a titled table and persist its CSV.
-pub fn emit(title: &str, name: &str, table: &Table) {
-    println!("\n== {title} ==\n");
-    print!("{}", table.render());
-    let path = save_csv(name, table);
-    println!("[csv: {}]", path.display());
-}
-
-use wire_dag::Millis;
-use wire_planner::WirePolicy;
-use wire_simcloud::{CloudConfig, Session, TransferModel};
-
-/// One Figure 2/3 data point: run the steering policy on a single linear
-/// stage of `n` tasks with runtime `r` and charging unit `u` (idealized
-/// single-slot instances, §III-E assumptions), and report the two ratios the
-/// figures plot:
-///
-/// * resource-usage ratio = billed time / optimal usage `N·R` (a pool of one
-///   instance running the stage sequentially wastes nothing);
-/// * completion-time ratio = stage makespan / optimal time `R` (all tasks in
-///   parallel on `N` instances).
-pub fn linear_stage_ratios(n: usize, r: Millis, u: Millis) -> (f64, f64) {
-    // approximate the paper's "continuous monitoring" with a control interval
-    // well below both R and U (floored at 1 s to bound event counts)
-    let interval = Millis::from_ms((r.as_ms().min(u.as_ms()) / 20).max(1_000));
-    let cfg = CloudConfig::linear_analysis(u, interval);
-    let (wf, prof) = wire_workloads::linear_stage(n, r);
-    let res = Session::new(cfg)
-        .transfer(TransferModel::none())
-        .policy(WirePolicy::default())
-        .seed(1)
-        .submit(&wf, &prof)
-        .run()
-        .expect("linear stage completes");
-    let optimal_usage = r.as_ms() as f64 * n as f64;
-    let billed = res.charging_units as f64 * u.as_ms() as f64;
-    let cost_ratio = billed / optimal_usage;
-    let time_ratio = res.makespan.as_ms() as f64 / r.as_ms() as f64;
-    (cost_ratio, time_ratio)
 }

@@ -21,24 +21,11 @@ use wire_workloads::{linear_workflow, WorkloadId};
 /// payload change shape: every previously cached entry becomes unreadable
 /// (its key no longer matches) instead of silently serving stale data.
 ///
-/// v2: cells carry a deterministic [`wire_obs::ObsSnapshot`] (`obs=` payload
-/// line), so warm-cache campaigns merge the same observability aggregates
-/// as cold ones.
-///
-/// v3: the cloud config's `first_five_priority` bool became the
-/// [`wire_simcloud::SchedulerSpec`] selector; keys hash the scheduler tag
-/// (`sched=fifo-ff` et al.) instead of the old `first5` bool.
-///
-/// v4: priced heterogeneous clouds — keys hash the instance-family table
-/// (name/slots/speed/price/memory and the spot tier per row) and the wire
-/// policy tag grew the family-steering knobs; the payload gained
-/// `cost_milli`, `evictions` and `oom_restarts`.
-///
-/// v5: budget-constrained steering — keys hash the cloud budget ceiling
-/// (when set) and the wire policy tag grew the budget knobs (throttle knee,
-/// spend-early mode, veto mutation). Unconstrained cells append nothing, but
-/// the version bump retires every v4 entry anyway.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+/// v6: the key is derived from the `Debug` rendering of the whole cell
+/// instead of a hand-kept field list, so no field can be left out of it
+/// (v5 keys missed `CloudConfig::mutation_bill_eviction_grace`). Every
+/// older entry is recomputed, never served.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// What a cell runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,8 +113,8 @@ impl PolicyKind {
                     s.fill_target.to_bits(),
                     s.mutation_drop_restart_guard
                 );
-                // appended only when set, so pre-family wire tags (and the
-                // keys derived from them) keep their historical bytes
+                // the human label: non-default knobs are appended only when
+                // set, so default cells keep their short, familiar labels
                 if let Some(floor) = s.spot_on_demand_floor {
                     t.push_str(&format!(":floor={:x}", floor.to_bits()));
                 }
@@ -283,43 +270,27 @@ impl Cell {
     }
 }
 
-/// FNV-1a 64 accumulator with tagged fields; hand-rolled so keys are stable
-/// across std versions and platforms.
+/// FNV-1a 64 accumulator; hand-rolled so keys are stable across std
+/// versions and platforms.
 struct KeyHasher(u64);
 
-impl KeyHasher {
-    fn new() -> Self {
-        KeyHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+impl std::fmt::Write for KeyHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
-    }
-
-    fn field_str(&mut self, tag: &str, v: &str) {
-        self.bytes(tag.as_bytes());
-        self.bytes(b"=");
-        self.bytes(v.as_bytes());
-        self.bytes(b";");
-    }
-
-    fn field_u64(&mut self, tag: &str, v: u64) {
-        self.field_str(tag, &format!("{v:x}"));
-    }
-
-    fn field_f64(&mut self, tag: &str, v: f64) {
-        self.field_u64(tag, v.to_bits());
+        Ok(())
     }
 }
 
 /// Content-addressed key of a cell under the current
-/// [`CACHE_FORMAT_VERSION`]. Every semantic input — workload identity,
-/// policy and steering knobs, every cloud-configuration field (lag, charging
-/// unit, jitter, MTBF, setup/teardown, …), transfer-model parameters and
-/// seed — is hashed; labels and display strings are not.
+/// [`CACHE_FORMAT_VERSION`]: a hash of the derived `Debug` rendering of the
+/// whole cell (workload, policy and steering knobs, every cloud-configuration
+/// field, the resolved transfer model and the seed), so a field added to any
+/// of those types moves the key with no edit here. Float `Debug` is
+/// shortest-round-trip, so distinct values render distinctly; a toolchain
+/// change to the format can only turn hits into misses, never into stale hits.
 pub fn cache_key(cell: &Cell) -> u64 {
     cache_key_versioned(cell, CACHE_FORMAT_VERSION)
 }
@@ -327,63 +298,16 @@ pub fn cache_key(cell: &Cell) -> u64 {
 /// [`cache_key`] under an explicit format version (exposed so tests can
 /// prove a version bump invalidates every key).
 pub fn cache_key_versioned(cell: &Cell, version: u32) -> u64 {
-    let mut h = KeyHasher::new();
-    h.field_str("schema", "wire-campaign-cell");
-    h.field_u64("version", version as u64);
-    h.field_str("workload", &cell.workload.tag());
-    h.field_str("policy", &cell.policy.tag());
-    let c = &cell.cfg;
-    h.field_u64("slots", c.slots_per_instance as u64);
-    h.field_u64("site", c.site_capacity as u64);
-    h.field_u64("lag_ms", c.launch_lag.as_ms());
-    h.field_u64("u_ms", c.charging_unit.as_ms());
-    h.field_u64("mape_ms", c.mape_interval.as_ms());
-    h.field_u64("init", c.initial_instances as u64);
-    h.field_str("sched", c.scheduler.tag());
-    h.field_f64("exec_jitter", c.exec_jitter);
-    h.field_u64(
-        "mtbf_ms",
-        c.mean_time_between_failures.map_or(0, |m| m.as_ms().max(1)),
+    use std::fmt::Write;
+    let mut h = KeyHasher(0xcbf2_9ce4_8422_2325);
+    let whole = (
+        &cell.workload,
+        &cell.policy,
+        &cell.cfg,
+        cell.transfer.model(),
+        cell.seed,
     );
-    h.field_u64("setup_ms", c.run_setup.as_ms());
-    h.field_u64("teardown_ms", c.run_teardown.as_ms());
-    h.field_u64("max_sim_ms", c.max_sim_time.as_ms());
-    // the spend ceiling is semantic input; unconstrained cells append
-    // nothing so their keys match a budget-less build of the same version
-    if let Some(b) = c.budget {
-        h.field_u64("budget_milli", b.ceiling_milli);
-    }
-    // the priced family table: every row field is semantic input (an empty
-    // table — the legacy homogeneous cloud — contributes only the count)
-    h.field_u64("families", c.families.len() as u64);
-    for (i, f) in c.families.iter().enumerate() {
-        h.field_str(&format!("fam{i}_name"), &f.name);
-        h.field_u64(&format!("fam{i}_slots"), f.slots as u64);
-        h.field_f64(&format!("fam{i}_speed"), f.speed);
-        h.field_u64(&format!("fam{i}_price"), f.price_milli);
-        h.field_u64(&format!("fam{i}_mem"), f.mem_mb as u64);
-        match &f.spot {
-            Some(s) => {
-                h.field_u64(
-                    &format!("fam{i}_spot_mtbe"),
-                    s.mean_time_between_evictions.as_ms(),
-                );
-                h.field_u64(&format!("fam{i}_spot_price"), s.price_milli);
-            }
-            None => h.field_str(&format!("fam{i}_spot"), "none"),
-        }
-    }
-    match cell.transfer {
-        TransferKind::Default => {
-            let m = TransferModel::default();
-            h.field_str("transfer", "default");
-            h.field_f64("bps", m.bytes_per_sec);
-            h.field_u64("overhead_ms", m.fixed_overhead.as_ms());
-            h.field_f64("tjitter", m.jitter);
-        }
-        TransferKind::None => h.field_str("transfer", "none"),
-    }
-    h.field_u64("seed", cell.seed);
+    write!(h, "wire-campaign-cell;v{version};{whole:?}").expect("hashing cannot fail");
     h.0
 }
 

@@ -1,12 +1,13 @@
-//! Figure/table regeneration as thin front-ends over the campaign runner.
+//! Figure/table regeneration as thin front-ends over the campaign runner —
+//! the code behind `wire campaign <target>`.
 //!
-//! Each function here reproduces one `wire-bench` binary's artifact — same
-//! stdout tables, same CSV bytes — but enumerates its runs as campaign
-//! cells, so the work shards across the thread pool and completed cells are
-//! served from the content-addressed cache. The merge order is the spec
-//! order, which keeps every regenerated `results/*.csv` byte-identical
-//! regardless of thread count or cache state.
+//! Each front-end builds its sweep once, as `(row key, cell)` pairs; the
+//! cells shard across the thread pool, completed cells are served from the
+//! content-addressed cache, and the outputs come back paired with their row
+//! keys in spec order, which keeps every regenerated `results/*.csv`
+//! byte-identical regardless of thread count or cache state.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -24,9 +25,21 @@ use wire_simcloud::{FamilySpec, RunResult, SchedulerSpec, Session, TransferModel
 use wire_telemetry::TelemetryHandle;
 use wire_workloads::WorkloadId;
 
-use crate::cell::{CellWorkload, PolicyKind, TransferKind};
-use crate::runner::{run_campaign, CampaignConfig, CampaignReport, CellViolation};
+use crate::cell::{CellOutput, CellWorkload, PolicyKind, TransferKind};
+use crate::runner::{run_campaign, CacheMode, CampaignConfig, CampaignReport, CellViolation};
 use crate::Cell;
+
+/// The Figure 2/3 anchor: U for Figure 2, R for Figure 3.
+const MINUTE: Millis = Millis::from_mins(1);
+
+/// Growth-heavy Table I workloads for the spot and budget sweeps (the
+/// quick sweeps take the first two).
+const GROWTH_HEAVY: [WorkloadId; 4] = [
+    WorkloadId::EpigenomicsS,
+    WorkloadId::Tpch6L,
+    WorkloadId::Tpch1L,
+    WorkloadId::PageRankL,
+];
 
 /// Directory (relative to the workspace root) where CSVs land.
 pub fn results_dir() -> PathBuf {
@@ -107,190 +120,118 @@ pub struct FigureRunner {
 }
 
 impl FigureRunner {
-    fn campaign(&self, cells: &[Cell], outcome: &mut FigureOutcome) -> Vec<crate::CellOutput> {
-        let report = run_campaign(cells, &self.cfg);
+    /// Run one sweep through the campaign. Each row pairs the key its
+    /// front-end renders a table row from with the cell that produces it;
+    /// the rows come back in the same order, each key paired with its
+    /// cell's output.
+    fn sweep<K>(&self, rows: Vec<(K, Cell)>, outcome: &mut FigureOutcome) -> Vec<(K, CellOutput)> {
+        let (keys, cells): (Vec<K>, Vec<Cell>) = rows.into_iter().unzip();
+        let report = run_campaign(&cells, &self.cfg);
         outcome.absorb(&report);
-        report.outputs
+        keys.into_iter().zip(report.outputs).collect()
     }
 
     /// Execute a §IV-C grid through the campaign, rebuilding the
     /// [`GridResult`] shape `wire_core`'s aggregation expects.
     fn grid_results(&self, grid: &ExperimentGrid, outcome: &mut FigureOutcome) -> Vec<GridResult> {
-        let cells = grid_cells(grid);
-        let outputs = self.campaign(&cells, outcome);
-        grid_results_from(grid, &outputs)
+        let report = run_campaign(&grid_cells(grid), &self.cfg);
+        outcome.absorb(&report);
+        grid_results_from(grid, &report.outputs)
     }
 
-    fn grid_workloads(&self) -> Vec<WorkloadId> {
+    /// `quick` under `--quick`, `full` otherwise.
+    fn by_size<T>(&self, quick: T, full: T) -> T {
         if self.quick {
-            WorkloadId::SMALL.to_vec()
+            quick
         } else {
-            WorkloadId::ALL.to_vec()
-        }
-    }
-
-    fn grid_reps(&self) -> usize {
-        if self.quick {
-            2
-        } else {
-            3
+            full
         }
     }
 
     /// The full paper grid this module's Figure 5/6/headline front-ends run.
     pub fn paper_grid(&self) -> ExperimentGrid {
-        ExperimentGrid::paper(self.grid_workloads(), self.grid_reps())
+        ExperimentGrid::paper(
+            self.by_size(WorkloadId::SMALL.to_vec(), WorkloadId::ALL.to_vec()),
+            self.by_size(2, 3),
+        )
     }
 
     /// Figure 2 — steering policy vs optimal, R > U.
     pub fn fig2(&self) -> FigureOutcome {
-        let mut outcome = FigureOutcome::default();
-        let ns: &[usize] = if self.quick {
-            &[10, 100]
-        } else {
-            &[10, 100, 1000]
-        };
-        let ratios: &[f64] = if self.quick {
-            &[1.5, 4.0, 40.0]
-        } else {
-            &[1.5, 2.0, 4.0, 10.0, 40.0, 100.0, 400.0, 1000.0]
-        };
-        let u = Millis::from_secs(60);
-        let cells: Vec<Cell> = ns
-            .iter()
-            .flat_map(|&n| {
-                ratios
-                    .iter()
-                    .map(move |&ru| Cell::linear(n, u.scale(ru), u))
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
-
-        let mut t = Table::new(["N", "R/U", "resource-usage ratio", "completion-time ratio"]);
-        let mut cost_series: Vec<Series> = Vec::new();
-        let mut time_series: Vec<Series> = Vec::new();
-        let mut it = outputs.iter();
-        for &n in ns {
-            let mut costs = Vec::new();
-            let mut times = Vec::new();
-            for &ru in ratios {
-                let r = u.scale(ru);
-                let out = it.next().expect("one output per point");
-                let (cost, time) = linear_ratios(out, n, r, u);
-                t.push_row([
-                    n.to_string(),
-                    format!("{ru}"),
-                    format!("{cost:.3}"),
-                    format!("{time:.3}"),
-                ]);
-                costs.push((ru, cost));
-                times.push((ru, time));
-                eprintln!("fig2: N={n} R/U={ru} cost={cost:.3} time={time:.3}");
-            }
-            cost_series.push(Series::new(format!("N={n}"), costs));
-            time_series.push(Series::new(format!("N={n}"), times));
-        }
-        println!(
-            "{}",
-            line_chart(
-                "resource-usage ratio vs R/U (log x)",
-                &cost_series,
-                64,
-                12,
-                true
-            )
+        let ratios: &[f64] = self.by_size(
+            &[1.5, 4.0, 40.0],
+            &[1.5, 2.0, 4.0, 10.0, 40.0, 100.0, 400.0, 1000.0],
         );
-        println!(
-            "{}",
-            line_chart(
-                "completion-time ratio vs R/U (log x)",
-                &time_series,
-                64,
-                12,
-                true
-            )
-        );
-        emit(
-            "Figure 2 — steering policy vs optimal, R > U (u = 1 min)",
+        self.linear_figure(
             "fig2",
-            &t,
-        );
-        outcome
+            "Figure 2 — steering policy vs optimal, R > U (u = 1 min)",
+            "R/U",
+            ratios,
+            |ru| (MINUTE.scale(ru), MINUTE),
+        )
     }
 
     /// Figure 3 — steering policy vs optimal, R ≤ U.
     pub fn fig3(&self) -> FigureOutcome {
-        let mut outcome = FigureOutcome::default();
-        let ns: &[usize] = if self.quick {
-            &[10, 100]
-        } else {
-            &[10, 100, 1000]
-        };
-        let ratios: &[f64] = if self.quick {
-            &[1.0, 10.0, 100.0]
-        } else {
-            &[1.0, 2.0, 4.0, 10.0, 40.0, 100.0, 400.0, 1000.0]
-        };
-        let r = Millis::from_secs(60);
-        let cells: Vec<Cell> = ns
-            .iter()
-            .flat_map(|&n| {
-                ratios
-                    .iter()
-                    .map(move |&ur| Cell::linear(n, r, r.scale(ur)))
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
-
-        let mut t = Table::new(["N", "U/R", "resource-usage ratio", "completion-time ratio"]);
-        let mut cost_series: Vec<Series> = Vec::new();
-        let mut time_series: Vec<Series> = Vec::new();
-        let mut it = outputs.iter();
-        for &n in ns {
-            let mut costs = Vec::new();
-            let mut times = Vec::new();
-            for &ur in ratios {
-                let u = r.scale(ur);
-                let out = it.next().expect("one output per point");
-                let (cost, time) = linear_ratios(out, n, r, u);
-                t.push_row([
-                    n.to_string(),
-                    format!("{ur}"),
-                    format!("{cost:.3}"),
-                    format!("{time:.3}"),
-                ]);
-                costs.push((ur, cost));
-                times.push((ur, time));
-                eprintln!("fig3: N={n} U/R={ur} cost={cost:.3} time={time:.3}");
-            }
-            cost_series.push(Series::new(format!("N={n}"), costs));
-            time_series.push(Series::new(format!("N={n}"), times));
-        }
-        println!(
-            "{}",
-            line_chart(
-                "resource-usage ratio vs U/R (log x)",
-                &cost_series,
-                64,
-                12,
-                true
-            )
+        let ratios: &[f64] = self.by_size(
+            &[1.0, 10.0, 100.0],
+            &[1.0, 2.0, 4.0, 10.0, 40.0, 100.0, 400.0, 1000.0],
         );
-        println!(
-            "{}",
-            line_chart(
-                "completion-time ratio vs U/R (log x)",
-                &time_series,
-                64,
-                12,
-                true
-            )
-        );
-        emit(
-            "Figure 3 — steering policy vs optimal, R ≤ U (R = 1 min)",
+        self.linear_figure(
             "fig3",
-            &t,
-        );
+            "Figure 3 — steering policy vs optimal, R ≤ U (R = 1 min)",
+            "U/R",
+            ratios,
+            |ur| (MINUTE, MINUTE.scale(ur)),
+        )
+    }
+
+    /// Figures 2 and 3: the steering policy on one linear stage of N tasks,
+    /// swept over the `axis` ratio (`point` maps a ratio to the stage
+    /// runtime R and the charging unit U), reported as resource-usage and
+    /// completion-time ratios to optimal.
+    fn linear_figure(
+        &self,
+        name: &str,
+        title: &str,
+        axis: &str,
+        ratios: &[f64],
+        point: fn(f64) -> (Millis, Millis),
+    ) -> FigureOutcome {
+        let mut outcome = FigureOutcome::default();
+        let ns: &[usize] = self.by_size(&[10, 100], &[10, 100, 1000]);
+        let mut rows = Vec::new();
+        for &n in ns {
+            for &x in ratios {
+                let (r, u) = point(x);
+                rows.push(((n, x, r, u), Cell::linear(n, r, u)));
+            }
+        }
+
+        let mut t = Table::new(["N", axis, "resource-usage ratio", "completion-time ratio"]);
+        let mut costs: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
+        let mut times: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
+        for ((n, x, r, u), out) in self.sweep(rows, &mut outcome) {
+            let (cost, time) = linear_ratios(&out, n, r, u);
+            t.push_row([
+                n.to_string(),
+                format!("{x}"),
+                format!("{cost:.3}"),
+                format!("{time:.3}"),
+            ]);
+            costs.entry(n).or_default().push((x, cost));
+            times.entry(n).or_default().push((x, time));
+            eprintln!("{name}: N={n} {axis}={x} cost={cost:.3} time={time:.3}");
+        }
+        for (what, points) in [("resource-usage", costs), ("completion-time", times)] {
+            let series: Vec<Series> = points
+                .into_iter()
+                .map(|(n, p)| Series::new(format!("N={n}"), p))
+                .collect();
+            let chart_title = format!("{what} ratio vs {axis} (log x)");
+            println!("{}", line_chart(&chart_title, &series, 64, 12, true));
+        }
+        emit(title, name, &t);
         outcome
     }
 
@@ -434,37 +375,30 @@ impl FigureRunner {
     /// target, oracle comparison and the estimator study.
     pub fn ablation(&self) -> FigureOutcome {
         let mut outcome = FigureOutcome::default();
-        let workloads = if self.quick {
-            vec![WorkloadId::Tpch6S, WorkloadId::PageRankS]
-        } else {
-            WorkloadId::SMALL.to_vec()
-        };
-        let u = Millis::from_mins(15);
+        let workloads = self.by_size(
+            vec![WorkloadId::Tpch6S, WorkloadId::PageRankS],
+            WorkloadId::SMALL.to_vec(),
+        );
+        let wire_cfg = || cloud_config(Setting::Wire, Millis::from_mins(15));
+        let steered = |w, steering| Cell::wire(w, wire_cfg(), steering, 1);
 
         // --- first-five priority -------------------------------------------
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                [true, false].into_iter().map(move |ff| {
-                    let mut cfg = cloud_config(Setting::Wire, u);
-                    cfg.scheduler = SchedulerSpec::Fifo { first_five: ff };
-                    Cell::wire(w, cfg, SteeringConfig::default(), 1)
-                })
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
-        let mut t = Table::new(["workload", "first-five", "cost (units)", "makespan (min)"]);
-        let mut it = outputs.iter();
+        let mut rows = Vec::new();
         for &w in &workloads {
             for ff in [true, false] {
-                let res = it.next().expect("one output per cell");
-                t.push_row([
-                    w.name().to_string(),
-                    ff.to_string(),
-                    res.charging_units.to_string(),
-                    format!("{:.1}", Millis::from_ms(res.makespan_ms).as_mins_f64()),
-                ]);
+                let mut cfg = wire_cfg();
+                cfg.scheduler = SchedulerSpec::Fifo { first_five: ff };
+                rows.push(((w, ff), Cell::wire(w, cfg, SteeringConfig::default(), 1)));
             }
+        }
+        let mut t = Table::new(["workload", "first-five", "cost (units)", "makespan (min)"]);
+        for ((w, ff), res) in self.sweep(rows, &mut outcome) {
+            t.push_row([
+                w.name().to_string(),
+                ff.to_string(),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+            ]);
         }
         emit(
             "Ablation — first-five-per-stage priority",
@@ -473,24 +407,16 @@ impl FigureRunner {
         );
 
         // --- waste threshold sweep ------------------------------------------
-        let fracs = [0.0, 0.1, 0.2, 0.4, 0.8];
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                fracs.into_iter().map(move |frac| {
-                    Cell::wire(
-                        w,
-                        cloud_config(Setting::Wire, u),
-                        SteeringConfig {
-                            waste_fraction: frac,
-                            ..SteeringConfig::default()
-                        },
-                        1,
-                    )
-                })
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
+        let mut rows = Vec::new();
+        for &w in &workloads {
+            for frac in [0.0, 0.1, 0.2, 0.4, 0.8] {
+                let steering = SteeringConfig {
+                    waste_fraction: frac,
+                    ..SteeringConfig::default()
+                };
+                rows.push(((w, frac), steered(w, steering)));
+            }
+        }
         let mut t = Table::new([
             "workload",
             "threshold (·u)",
@@ -498,18 +424,14 @@ impl FigureRunner {
             "makespan (min)",
             "restarts",
         ]);
-        let mut it = outputs.iter();
-        for &w in &workloads {
-            for frac in fracs {
-                let res = it.next().expect("one output per cell");
-                t.push_row([
-                    w.name().to_string(),
-                    format!("{frac}"),
-                    res.charging_units.to_string(),
-                    format!("{:.1}", Millis::from_ms(res.makespan_ms).as_mins_f64()),
-                    res.restarts.to_string(),
-                ]);
-            }
+        for ((w, frac), res) in self.sweep(rows, &mut outcome) {
+            t.push_row([
+                w.name().to_string(),
+                format!("{frac}"),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+                res.restarts.to_string(),
+            ]);
         }
         emit(
             "Ablation — waste/restart threshold (paper default 0.2·u)",
@@ -518,24 +440,16 @@ impl FigureRunner {
         );
 
         // --- fill target (utilization aggressiveness, §IV-A) ----------------
-        let fills = [1.0, 0.75, 0.5, 0.25];
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                fills.into_iter().map(move |fill| {
-                    Cell::wire(
-                        w,
-                        cloud_config(Setting::Wire, u),
-                        SteeringConfig {
-                            fill_target: fill,
-                            ..SteeringConfig::default()
-                        },
-                        1,
-                    )
-                })
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
+        let mut rows = Vec::new();
+        for &w in &workloads {
+            for fill in [1.0, 0.75, 0.5, 0.25] {
+                let steering = SteeringConfig {
+                    fill_target: fill,
+                    ..SteeringConfig::default()
+                };
+                rows.push(((w, fill), steered(w, steering)));
+            }
+        }
         let mut t = Table::new([
             "workload",
             "fill target",
@@ -543,18 +457,14 @@ impl FigureRunner {
             "makespan (min)",
             "peak pool",
         ]);
-        let mut it = outputs.iter();
-        for &w in &workloads {
-            for fill in fills {
-                let res = it.next().expect("one output per cell");
-                t.push_row([
-                    w.name().to_string(),
-                    format!("{fill}"),
-                    res.charging_units.to_string(),
-                    format!("{:.1}", Millis::from_ms(res.makespan_ms).as_mins_f64()),
-                    res.peak_instances.to_string(),
-                ]);
-            }
+        for ((w, fill), res) in self.sweep(rows, &mut outcome) {
+            t.push_row([
+                w.name().to_string(),
+                format!("{fill}"),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+                res.peak_instances.to_string(),
+            ]);
         }
         emit(
             "Ablation — Algorithm 3 fill target (cost/speed aggressiveness)",
@@ -563,29 +473,19 @@ impl FigureRunner {
         );
 
         // --- online prediction vs oracle (§IV-E robustness) -----------------
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                let cfg = cloud_config(Setting::Wire, u);
-                [
-                    Cell::wire(w, cfg.clone(), SteeringConfig::default(), 1),
-                    Cell::oracle(w, cfg, 1),
-                ]
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
-        let mut t = Table::new(["workload", "policy", "cost (units)", "makespan (min)"]);
-        let mut it = outputs.iter();
+        let mut rows = Vec::new();
         for &w in &workloads {
-            for _ in 0..2 {
-                let r = it.next().expect("one output per cell");
-                t.push_row([
-                    w.name().to_string(),
-                    r.policy.clone(),
-                    r.charging_units.to_string(),
-                    format!("{:.1}", Millis::from_ms(r.makespan_ms).as_mins_f64()),
-                ]);
-            }
+            rows.push((w, steered(w, SteeringConfig::default())));
+            rows.push((w, Cell::oracle(w, wire_cfg(), 1)));
+        }
+        let mut t = Table::new(["workload", "policy", "cost (units)", "makespan (min)"]);
+        for (w, res) in self.sweep(rows, &mut outcome) {
+            t.push_row([
+                w.name().to_string(),
+                res.policy.clone(),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+            ]);
         }
         emit(
             "Ablation — online prediction vs ground-truth oracle (§IV-E robustness)",
@@ -632,27 +532,15 @@ impl FigureRunner {
     /// §IV-E prediction-policy usage during wire runs.
     pub fn policies(&self) -> FigureOutcome {
         let mut outcome = FigureOutcome::default();
-        let workloads = if self.quick {
-            WorkloadId::SMALL.to_vec()
-        } else {
-            WorkloadId::ALL.to_vec()
-        };
-        let units = [1u64, 15];
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                units.into_iter().map(move |u_min| {
-                    let u = Millis::from_mins(u_min);
-                    Cell::wire(
-                        w,
-                        cloud_config_for(Setting::Wire, u, w.spec().total_input_bytes),
-                        SteeringConfig::default(),
-                        1,
-                    )
-                })
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
+        let workloads = self.by_size(WorkloadId::SMALL.to_vec(), WorkloadId::ALL.to_vec());
+        let mut rows = Vec::new();
+        for &w in &workloads {
+            for u_min in [1u64, 15] {
+                let u = Millis::from_mins(u_min);
+                let cfg = cloud_config_for(Setting::Wire, u, w.spec().total_input_bytes);
+                rows.push(((w, u_min), Cell::wire(w, cfg, SteeringConfig::default(), 1)));
+            }
+        }
 
         let mut t = Table::new([
             "workload",
@@ -664,24 +552,20 @@ impl FigureRunner {
             "P5 ogd",
             "P4+P5 share",
         ]);
-        let mut it = outputs.iter();
-        for &w in &workloads {
-            for u_min in units {
-                let out = it.next().expect("one output per cell");
-                let uses = out.policy_uses;
-                let total: u64 = uses.iter().sum::<u64>().max(1);
-                let informed = uses[3] + uses[4];
-                t.push_row([
-                    w.name().to_string(),
-                    u_min.to_string(),
-                    uses[0].to_string(),
-                    uses[1].to_string(),
-                    uses[2].to_string(),
-                    uses[3].to_string(),
-                    uses[4].to_string(),
-                    format!("{:.1}%", 100.0 * informed as f64 / total as f64),
-                ]);
-            }
+        for ((w, u_min), out) in self.sweep(rows, &mut outcome) {
+            let uses = out.policy_uses;
+            let total: u64 = uses.iter().sum::<u64>().max(1);
+            let informed = uses[3] + uses[4];
+            t.push_row([
+                w.name().to_string(),
+                u_min.to_string(),
+                uses[0].to_string(),
+                uses[1].to_string(),
+                uses[2].to_string(),
+                uses[3].to_string(),
+                uses[4].to_string(),
+                format!("{:.1}%", 100.0 * informed as f64 / total as f64),
+            ]);
         }
         emit(
             "§IV-E — prediction-policy usage during wire runs",
@@ -698,40 +582,33 @@ impl FigureRunner {
     /// FIFO, and where the per-workflow portfolio lands.
     pub fn schedulers(&self) -> FigureOutcome {
         let mut outcome = FigureOutcome::default();
-        let workloads = if self.quick {
-            vec![WorkloadId::Tpch6S, WorkloadId::PageRankS]
-        } else {
-            WorkloadId::SMALL.to_vec()
-        };
-        let settings = [Setting::Wire, Setting::PureReactive];
+        let workloads = self.by_size(
+            vec![WorkloadId::Tpch6S, WorkloadId::PageRankS],
+            WorkloadId::SMALL.to_vec(),
+        );
         let specs: Vec<SchedulerSpec> = match self.scheduler {
             Some(one) => vec![one],
             None => SchedulerSpec::ALL.to_vec(),
         };
         let u = Millis::from_mins(15);
 
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                settings.iter().flat_map({
-                    let specs = specs.clone();
-                    move |&setting| {
-                        specs.clone().into_iter().map(move |spec| {
-                            let mut cfg = cloud_config_for(setting, u, w.spec().total_input_bytes);
-                            cfg.scheduler = spec;
-                            Cell {
-                                workload: CellWorkload::Catalog(w),
-                                policy: PolicyKind::from_setting(setting),
-                                cfg,
-                                transfer: TransferKind::Default,
-                                seed: 1,
-                            }
-                        })
-                    }
-                })
-            })
-            .collect();
-        let outputs = self.campaign(&cells, &mut outcome);
+        let mut rows = Vec::new();
+        for &w in &workloads {
+            for setting in [Setting::Wire, Setting::PureReactive] {
+                for &spec in &specs {
+                    let mut cfg = cloud_config_for(setting, u, w.spec().total_input_bytes);
+                    cfg.scheduler = spec;
+                    let cell = Cell {
+                        workload: CellWorkload::Catalog(w),
+                        policy: PolicyKind::from_setting(setting),
+                        cfg,
+                        transfer: TransferKind::Default,
+                        seed: 1,
+                    };
+                    rows.push(((w, setting, spec), cell));
+                }
+            }
+        }
 
         let mut t = Table::new([
             "workload",
@@ -741,21 +618,15 @@ impl FigureRunner {
             "makespan (min)",
             "restarts",
         ]);
-        let mut it = outputs.iter();
-        for &w in &workloads {
-            for setting in settings {
-                for &spec in &specs {
-                    let res = it.next().expect("one output per cell");
-                    t.push_row([
-                        w.name().to_string(),
-                        setting.label().to_string(),
-                        spec.tag().to_string(),
-                        res.charging_units.to_string(),
-                        format!("{:.1}", Millis::from_ms(res.makespan_ms).as_mins_f64()),
-                        res.restarts.to_string(),
-                    ]);
-                }
-            }
+        for ((w, setting, spec), res) in self.sweep(rows, &mut outcome) {
+            t.push_row([
+                w.name().to_string(),
+                setting.label().to_string(),
+                spec.tag().to_string(),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+                res.restarts.to_string(),
+            ]);
         }
         emit(
             "Scheduler portfolio — policies × schedulers",
@@ -775,21 +646,8 @@ impl FigureRunner {
         // growth-heavy workloads: the steering only touches *new* launches,
         // so a workload that finishes on its initial instance has no spot
         // exposure and teaches the figure nothing
-        let workloads = if self.quick {
-            vec![WorkloadId::EpigenomicsS, WorkloadId::Tpch6L]
-        } else {
-            vec![
-                WorkloadId::EpigenomicsS,
-                WorkloadId::Tpch6L,
-                WorkloadId::Tpch1L,
-                WorkloadId::PageRankL,
-            ]
-        };
-        let mtbe_mins: &[u64] = if self.quick {
-            &[15, 60]
-        } else {
-            &[15, 30, 60, 120]
-        };
+        let workloads = self.by_size(&GROWTH_HEAVY[..2], &GROWTH_HEAVY[..]);
+        let mtbe_mins: &[u64] = self.by_size(&[15, 60], &[15, 30, 60, 120]);
         // (label, fraction of launches kept on-demand): None = legacy
         // homogeneous procurement, 0.0 = steer everything spot-ward
         let procurements: [(&str, Option<f64>); 3] = [
@@ -799,38 +657,32 @@ impl FigureRunner {
         ];
         let u = Millis::from_mins(1);
 
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                mtbe_mins.iter().flat_map(move |&mtbe| {
-                    procurements.into_iter().map(move |(_, floor)| {
-                        let base = cloud_config(Setting::Wire, u);
-                        match floor {
-                            None => Cell::wire(w, base, SteeringConfig::default(), 1),
-                            Some(floor) => {
-                                let slots = base.slots_per_instance;
-                                let cfg = base.with_families(vec![
-                                    FamilySpec::new("od", slots, 1000),
-                                    FamilySpec::new("spot", slots, 1000)
-                                        .spot(Millis::from_mins(mtbe), 400),
-                                ]);
-                                Cell::wire(
-                                    w,
-                                    cfg,
-                                    SteeringConfig {
-                                        spot_on_demand_floor: Some(floor),
-                                        ..SteeringConfig::default()
-                                    },
-                                    1,
-                                )
-                            }
+        let mut rows = Vec::new();
+        for &w in workloads {
+            for &mtbe in mtbe_mins {
+                for (label, floor) in procurements {
+                    let base = cloud_config(Setting::Wire, u);
+                    let cell = match floor {
+                        None => Cell::wire(w, base, SteeringConfig::default(), 1),
+                        Some(floor) => {
+                            let slots = base.slots_per_instance;
+                            let cfg = base.with_families(vec![
+                                FamilySpec::new("od", slots, 1000),
+                                FamilySpec::new("spot", slots, 1000)
+                                    .spot(Millis::from_mins(mtbe), 400),
+                            ]);
+                            let steering = SteeringConfig {
+                                spot_on_demand_floor: Some(floor),
+                                ..SteeringConfig::default()
+                            };
+                            Cell::wire(w, cfg, steering, 1)
                         }
-                    })
-                })
-            })
-            .collect();
-        eprintln!("spot: running {} cells ...", cells.len());
-        let outputs = self.campaign(&cells, &mut outcome);
+                    };
+                    rows.push(((w, mtbe, label), cell));
+                }
+            }
+        }
+        eprintln!("spot: running {} cells ...", rows.len());
 
         let mut t = Table::new([
             "workload",
@@ -842,23 +694,17 @@ impl FigureRunner {
             "evictions",
             "restarts",
         ]);
-        let mut it = outputs.iter();
-        for &w in &workloads {
-            for &mtbe in mtbe_mins {
-                for (label, _) in procurements {
-                    let res = it.next().expect("one output per cell");
-                    t.push_row([
-                        w.name().to_string(),
-                        mtbe.to_string(),
-                        label.to_string(),
-                        format!("{:.3}", res.cost_milli as f64 / 1000.0),
-                        res.charging_units.to_string(),
-                        format!("{:.1}", Millis::from_ms(res.makespan_ms).as_mins_f64()),
-                        res.evictions.to_string(),
-                        res.restarts.to_string(),
-                    ]);
-                }
-            }
+        for ((w, mtbe, label), res) in self.sweep(rows, &mut outcome) {
+            t.push_row([
+                w.name().to_string(),
+                mtbe.to_string(),
+                label.to_string(),
+                dollars(res.cost_milli),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+                res.evictions.to_string(),
+                res.restarts.to_string(),
+            ]);
         }
         emit(
             "Spot procurement — cost vs eviction rate (spot at 40 % of on-demand)",
@@ -879,63 +725,33 @@ impl FigureRunner {
         let mut outcome = FigureOutcome::default();
         // growth-heavy Table I workloads: the throttle only bites when the
         // steering actually wants to grow past the initial pool
-        let workloads = if self.quick {
-            vec![WorkloadId::EpigenomicsS, WorkloadId::Tpch6L]
-        } else {
-            vec![
-                WorkloadId::EpigenomicsS,
-                WorkloadId::Tpch6L,
-                WorkloadId::Tpch1L,
-                WorkloadId::PageRankL,
-            ]
-        };
+        let workloads = self.by_size(&GROWTH_HEAVY[..2], &GROWTH_HEAVY[..]);
         // committed spend crosses the knee early in a run (growth is
         // front-loaded), so the interesting ceilings sit well below the
         // natural bill; 1.0 anchors the unconstrained end
-        let fractions: &[f64] = if self.quick {
-            &[0.1, 1.0]
-        } else {
-            &[0.05, 0.1, 0.25, 0.5, 1.0]
-        };
+        let fractions: &[f64] = self.by_size(&[0.1, 1.0], &[0.05, 0.1, 0.25, 0.5, 1.0]);
+        let wire_cell = |w, cfg| Cell::wire(w, cfg, SteeringConfig::default(), 1);
         let u = Millis::from_mins(1);
 
         // phase one: the unconstrained baseline fixes each workload's
         // natural bill and makespan
-        let baseline_cells: Vec<Cell> = workloads
+        let rows: Vec<_> = workloads
             .iter()
-            .map(|&w| {
-                Cell::wire(
-                    w,
-                    cloud_config(Setting::Wire, u),
-                    SteeringConfig::default(),
-                    1,
-                )
-            })
+            .map(|&w| (w, wire_cell(w, cloud_config(Setting::Wire, u))))
             .collect();
-        eprintln!(
-            "budget: running {} baseline cells ...",
-            baseline_cells.len()
-        );
-        let baselines = self.campaign(&baseline_cells, &mut outcome);
+        eprintln!("budget: running {} baseline cells ...", rows.len());
+        let baselines = self.sweep(rows, &mut outcome);
 
         // phase two: ceilings as fractions of the baseline bill
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .zip(&baselines)
-            .flat_map(|(&w, base)| {
-                fractions.iter().map(move |&frac| {
-                    let ceiling = ((base.cost_milli as f64 * frac).round() as u64).max(1);
-                    Cell::wire(
-                        w,
-                        cloud_config(Setting::Wire, u).with_budget(ceiling),
-                        SteeringConfig::default(),
-                        1,
-                    )
-                })
-            })
-            .collect();
-        eprintln!("budget: running {} budgeted cells ...", cells.len());
-        let outputs = self.campaign(&cells, &mut outcome);
+        let mut rows = Vec::new();
+        for (w, base) in &baselines {
+            for &frac in fractions {
+                let ceiling = ((base.cost_milli as f64 * frac).round() as u64).max(1);
+                let cfg = cloud_config(Setting::Wire, u).with_budget(ceiling);
+                rows.push(((*w, frac, ceiling, base.makespan_ms), wire_cell(*w, cfg)));
+            }
+        }
+        eprintln!("budget: running {} budgeted cells ...", rows.len());
 
         let mut t = Table::new([
             "workload",
@@ -946,24 +762,19 @@ impl FigureRunner {
             "makespan (min)",
             "slowdown (milli)",
         ]);
-        let mut it = outputs.iter();
-        for (&w, base) in workloads.iter().zip(&baselines) {
-            for &frac in fractions {
-                let res = it.next().expect("one output per cell");
-                let ceiling = ((base.cost_milli as f64 * frac).round() as u64).max(1);
-                // slowdown in milli (1000 = baseline speed), integer so the
-                // CSV stays platform-independent
-                let slowdown_milli = res.makespan_ms * 1000 / base.makespan_ms.max(1);
-                t.push_row([
-                    w.name().to_string(),
-                    format!("{frac:.2}"),
-                    format!("{:.3}", ceiling as f64 / 1000.0),
-                    format!("{:.3}", res.cost_milli as f64 / 1000.0),
-                    res.charging_units.to_string(),
-                    format!("{:.1}", Millis::from_ms(res.makespan_ms).as_mins_f64()),
-                    slowdown_milli.to_string(),
-                ]);
-            }
+        for ((w, frac, ceiling, base_makespan_ms), res) in self.sweep(rows, &mut outcome) {
+            // slowdown in milli (1000 = baseline speed), integer so the
+            // CSV stays platform-independent
+            let slowdown_milli = res.makespan_ms * 1000 / base_makespan_ms.max(1);
+            t.push_row([
+                w.name().to_string(),
+                format!("{frac:.2}"),
+                dollars(ceiling),
+                dollars(res.cost_milli),
+                res.charging_units.to_string(),
+                makespan_mins(&res),
+                slowdown_milli.to_string(),
+            ]);
         }
         emit(
             "Budget-constrained steering — slowdown vs budget fraction",
@@ -978,30 +789,26 @@ impl FigureRunner {
     /// the runner's cache mode) while still sharding across the pool.
     pub fn overhead(&self) -> FigureOutcome {
         let mut outcome = FigureOutcome::default();
-        let workloads = if self.quick {
-            WorkloadId::SMALL.to_vec()
-        } else {
-            WorkloadId::ALL.to_vec()
+        let workloads = self.by_size(WorkloadId::SMALL.to_vec(), WorkloadId::ALL.to_vec());
+        let fresh = FigureRunner {
+            cfg: CampaignConfig {
+                mode: CacheMode::Off,
+                ..self.cfg.clone()
+            },
+            quick: self.quick,
+            scheduler: self.scheduler,
         };
-        let timing_cfg = CampaignConfig {
-            mode: crate::CacheMode::Off,
-            ..self.cfg.clone()
-        };
-        let cells: Vec<Cell> = workloads
-            .iter()
-            .flat_map(|&w| {
-                CHARGING_UNITS_MINS.into_iter().map(move |u_min| {
-                    Cell::wire(
-                        w,
-                        cloud_config(Setting::Wire, Millis::from_mins(u_min)),
-                        SteeringConfig::default(),
-                        1,
-                    )
-                })
-            })
-            .collect();
-        let report = run_campaign(&cells, &timing_cfg);
-        outcome.absorb(&report);
+        let mut rows = Vec::new();
+        for &w in &workloads {
+            let agg = w.generate(1).1.aggregate().as_secs_f64();
+            for u_min in CHARGING_UNITS_MINS {
+                let cfg = cloud_config(Setting::Wire, Millis::from_mins(u_min));
+                rows.push((
+                    (w, u_min, agg),
+                    Cell::wire(w, cfg, SteeringConfig::default(), 1),
+                ));
+            }
+        }
 
         let mut t = Table::new([
             "workload",
@@ -1014,27 +821,21 @@ impl FigureRunner {
             "time overhead (%)",
             "controller state (KB)",
         ]);
-        let mut it = report.outputs.iter();
-        for &w in &workloads {
-            let (_, prof) = w.generate(1);
-            let agg = prof.aggregate().as_secs_f64();
-            for u_min in CHARGING_UNITS_MINS {
-                let res = it.next().expect("one output per cell");
-                let run_wall_s = res.exec_wall_us as f64 / 1e6;
-                let wall_ms = res.controller_wall_us as f64 / 1000.0;
-                let per_tick_us = wall_ms * 1e3 / (res.mape_iterations.max(1) as f64);
-                t.push_row([
-                    w.name().to_string(),
-                    u_min.to_string(),
-                    res.mape_iterations.to_string(),
-                    format!("{wall_ms:.2}"),
-                    format!("{per_tick_us:.1}"),
-                    format!("{:.2}", 100.0 * wall_ms / 1000.0 / run_wall_s.max(1e-9)),
-                    format!("{agg:.0}"),
-                    format!("{:.4}", 100.0 * wall_ms / 1000.0 / agg),
-                    format!("{:.1}", res.state_bytes as f64 / 1024.0),
-                ]);
-            }
+        for ((w, u_min, agg), res) in fresh.sweep(rows, &mut outcome) {
+            let run_wall_s = res.exec_wall_us as f64 / 1e6;
+            let wall_ms = res.controller_wall_us as f64 / 1000.0;
+            let per_tick_us = wall_ms * 1e3 / (res.mape_iterations.max(1) as f64);
+            t.push_row([
+                w.name().to_string(),
+                u_min.to_string(),
+                res.mape_iterations.to_string(),
+                format!("{wall_ms:.2}"),
+                format!("{per_tick_us:.1}"),
+                format!("{:.2}", 100.0 * wall_ms / 1000.0 / run_wall_s.max(1e-9)),
+                format!("{agg:.0}"),
+                format!("{:.4}", 100.0 * wall_ms / 1000.0 / agg),
+                format!("{:.1}", res.state_bytes as f64 / 1024.0),
+            ]);
         }
         emit(
             "§IV-F — WIRE controller overhead (paper: ≤16 KB, 0.011–0.49% of task time)",
@@ -1047,7 +848,7 @@ impl FigureRunner {
 }
 
 /// The campaign cells of a §IV-C grid, enumerated (workload, setting, unit)
-/// outer, repetition inner — the exact order `ExperimentGrid::run` produces.
+/// outer, repetition inner — the order [`grid_results_from`] regroups.
 pub fn grid_cells(grid: &ExperimentGrid) -> Vec<Cell> {
     let mut cells = Vec::new();
     for &w in &grid.workloads {
@@ -1064,7 +865,7 @@ pub fn grid_cells(grid: &ExperimentGrid) -> Vec<Cell> {
 
 /// Regroup [`grid_cells`]-ordered campaign outputs into the [`GridResult`]
 /// rows `wire_core`'s aggregation (and `flatten`/`to_csv`) expects.
-pub fn grid_results_from(grid: &ExperimentGrid, outputs: &[crate::CellOutput]) -> Vec<GridResult> {
+pub fn grid_results_from(grid: &ExperimentGrid, outputs: &[CellOutput]) -> Vec<GridResult> {
     let mut results = Vec::new();
     let mut it = outputs.iter();
     for &w in &grid.workloads {
@@ -1087,12 +888,22 @@ pub fn grid_results_from(grid: &ExperimentGrid, outputs: &[crate::CellOutput]) -
 
 /// The two Figure 2/3 ratios from a linear-stage cell output: billed time
 /// over optimal usage `N·R`, and makespan over optimal time `R`.
-fn linear_ratios(out: &crate::CellOutput, n: usize, r: Millis, u: Millis) -> (f64, f64) {
+fn linear_ratios(out: &CellOutput, n: usize, r: Millis, u: Millis) -> (f64, f64) {
     let optimal_usage = r.as_ms() as f64 * n as f64;
     let billed = out.charging_units as f64 * u.as_ms() as f64;
     let cost_ratio = billed / optimal_usage;
     let time_ratio = out.makespan_ms as f64 / r.as_ms() as f64;
     (cost_ratio, time_ratio)
+}
+
+/// A cell's makespan in minutes, as the figure tables print it.
+fn makespan_mins(out: &CellOutput) -> String {
+    format!("{:.1}", Millis::from_ms(out.makespan_ms).as_mins_f64())
+}
+
+/// A milli-dollar amount in dollars, as the figure tables print it.
+fn dollars(milli: u64) -> String {
+    format!("{:.3}", milli as f64 / 1000.0)
 }
 
 /// Best-of-`reps` wall time for one run closure (the minimum is the least

@@ -6,8 +6,8 @@
 //! one cell per claim, sized by `WIRE_THREADS`) and merged back **in spec
 //! order**, so every derived artifact is byte-identical regardless of
 //! thread count. Completed cells are memoized
-//! under `results/cache/` keyed by a stable FNV-1a hash of every semantic
-//! input ([`cache_key`]); re-running a campaign after an interruption, or
+//! under `results/cache/` keyed by a stable FNV-1a hash of the whole cell
+//! spec ([`cache_key`]); re-running a campaign after an interruption, or
 //! regenerating a figure whose cells were already paid for by another
 //! figure, costs only cache reads.
 //!
@@ -21,8 +21,8 @@
 //!   and recomputed, never trusted;
 //! * [`runner`] — cache probing, pool dispatch, ordered merge, and the
 //!   [`CampaignReport`] bookkeeping (executed/hit/corrupt counters);
-//! * [`figures`] — the paper's figure/table regenerations as thin
-//!   front-ends over [`run_campaign`].
+//! * [`figures`] — the paper's figure/table regenerations (`wire campaign
+//!   <target>`) as thin front-ends over [`run_campaign`].
 
 pub mod cache;
 pub mod cell;

@@ -166,24 +166,11 @@ pub fn expected_settings() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentGrid;
-    use wire_dag::Millis;
-    use wire_workloads::WorkloadId;
-
-    fn small_grid() -> Vec<GridResult> {
-        ExperimentGrid {
-            workloads: vec![WorkloadId::Tpch6S],
-            settings: vec![Setting::FullSite, Setting::Wire],
-            charging_units: vec![Millis::from_mins(15)],
-            repetitions: 2,
-            base_seed: 3,
-        }
-        .run()
-    }
+    use crate::experiment::tests::small_grid;
 
     #[test]
     fn csv_round_trip() {
-        let results = small_grid();
+        let results = small_grid(3);
         let rows = flatten(&results);
         assert_eq!(rows.len(), 4); // 2 cells × 2 reps
         let csv = to_csv(&rows);
@@ -193,7 +180,7 @@ mod tests {
 
     #[test]
     fn summarize_groups_cells() {
-        let results = small_grid();
+        let results = small_grid(3);
         let rows = flatten(&results);
         let table = summarize(&rows);
         assert_eq!(table.num_rows(), 2);

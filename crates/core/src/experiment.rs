@@ -6,7 +6,6 @@
 //! charging units of 1/15/30/60 minutes. Each run is repeated with distinct
 //! seeds (the paper uses 3–7 repetitions per setting).
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wire_dag::Millis;
 use wire_obs::{ObsConfig, StreamingRecorder};
@@ -195,41 +194,6 @@ pub fn run_ensemble_obs(
     (result, recorder)
 }
 
-/// Like [`run_setting`], with the bounded-memory [`StreamingRecorder`]
-/// attached — the single-workload form of [`run_ensemble_obs`].
-pub fn run_setting_obs(
-    workload: WorkloadId,
-    setting: Setting,
-    charging_unit: Millis,
-    seed: u64,
-    obs_cfg: ObsConfig,
-) -> (RunResult, StreamingRecorder) {
-    let (wf, prof) = workload.generate(seed);
-    let cfg = cloud_config_for(setting, charging_unit, workload.spec().total_input_bytes);
-    let recorder = StreamingRecorder::with_config(obs_cfg);
-    let policy: Box<dyn ScalingPolicy + Send> = match setting {
-        Setting::Wire => Box::new(WirePolicy::default().with_obs(recorder.clone())),
-        other => build_policy(other, &cfg),
-    };
-    let result = Session::new(cfg)
-        .transfer(TransferModel::default())
-        .policy(policy)
-        .seed(seed)
-        .recording(recorder.clone())
-        .submit(&wf, &prof)
-        .run()
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} / {} / u={}: {e}",
-                workload.name(),
-                setting.label(),
-                charging_unit
-            )
-        });
-    recorder.note_session(result.makespan.as_ms(), result.charging_units);
-    (result, recorder)
-}
-
 /// Like [`run_setting`], with full telemetry: engine events, per-tick
 /// metrics and (under [`Setting::Wire`]) the MAPE decision journal and
 /// prediction-quality join all land in the returned [`TelemetryBuffer`],
@@ -314,7 +278,10 @@ impl GridResult {
     }
 }
 
-/// A full §IV-C experiment grid.
+/// A full §IV-C experiment grid, as a spec: `wire-campaign` turns it into
+/// cells and executes them. Repetition `k` of a workload uses seed
+/// `base_seed + k`, shared across settings so all four policies face the
+/// *same* run realization (paired comparison).
 #[derive(Debug, Clone)]
 pub struct ExperimentGrid {
     pub workloads: Vec<WorkloadId>,
@@ -337,57 +304,6 @@ impl ExperimentGrid {
             repetitions: reps,
             base_seed: 0xC0FFEE,
         }
-    }
-
-    /// Execute every cell; runs fan out across cores. Repetition `k` of a
-    /// workload uses seed `base_seed + k`, shared across settings so all four
-    /// policies face the *same* run realization (paired comparison).
-    pub fn run(&self) -> Vec<GridResult> {
-        let mut cells: Vec<(WorkloadId, Setting, Millis)> = Vec::new();
-        for &w in &self.workloads {
-            for &s in &self.settings {
-                for &u in &self.charging_units {
-                    cells.push((w, s, u));
-                }
-            }
-        }
-        cells
-            .into_par_iter()
-            .map(|(w, s, u)| {
-                let runs: Vec<RunResult> = (0..self.repetitions)
-                    .into_par_iter()
-                    .map(|k| run_setting(w, s, u, self.base_seed + k as u64))
-                    .collect();
-                GridResult {
-                    workload: w,
-                    setting: s,
-                    charging_unit: u,
-                    runs,
-                }
-            })
-            .collect()
-    }
-
-    /// Like [`ExperimentGrid::run`], but additionally re-runs the first
-    /// repetition of every cell with telemetry attached and persists the full
-    /// export set (events JSONL, Chrome trace, per-tick metrics CSV, decision
-    /// log) under `dir`. Runs are deterministic per seed, so the persisted
-    /// telemetry matches repetition 0 of the returned results exactly.
-    pub fn run_persisted(&self, dir: &std::path::Path) -> std::io::Result<Vec<GridResult>> {
-        let results = self.run();
-        for g in &results {
-            let (_, buffer) =
-                run_setting_telemetry(g.workload, g.setting, g.charging_unit, self.base_seed);
-            let stem = format!(
-                "{}-{}-u{}",
-                g.workload.name().to_lowercase().replace(' ', "-"),
-                g.setting.label(),
-                g.charging_unit.as_mins_f64() as u64
-            );
-            let slots = cloud_config(g.setting, g.charging_unit).slots_per_instance;
-            wire_telemetry::export::write_all(dir, &stem, &buffer, slots)?;
-        }
-        Ok(results)
     }
 }
 
@@ -457,8 +373,25 @@ pub fn headline(results: &[GridResult]) -> Option<Headline> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// TPCH-6 S under full-site and wire at u = 15 min, two repetitions
+    /// from `base_seed`: the smallest grid `headline` and the CSV path accept.
+    pub(crate) fn small_grid(base_seed: u64) -> Vec<GridResult> {
+        let u = Millis::from_mins(15);
+        [Setting::FullSite, Setting::Wire]
+            .into_iter()
+            .map(|setting| GridResult {
+                workload: WorkloadId::Tpch6S,
+                setting,
+                charging_unit: u,
+                runs: (base_seed..base_seed + 2)
+                    .map(|seed| run_setting(WorkloadId::Tpch6S, setting, u, seed))
+                    .collect(),
+            })
+            .collect()
+    }
 
     #[test]
     fn configs_match_paper_site() {
@@ -513,17 +446,8 @@ mod tests {
 
     #[test]
     fn grid_runs_and_aggregates() {
-        let grid = ExperimentGrid {
-            workloads: vec![WorkloadId::Tpch6S],
-            settings: vec![Setting::FullSite, Setting::Wire],
-            charging_units: vec![Millis::from_mins(15)],
-            repetitions: 2,
-            base_seed: 7,
-        };
-        let results = grid.run();
-        assert_eq!(results.len(), 2);
+        let results = small_grid(7);
         for g in &results {
-            assert_eq!(g.runs.len(), 2);
             let c = g.cell();
             assert!(c.cost_mean > 0.0);
             assert!(c.makespan_mean_secs > 0.0);

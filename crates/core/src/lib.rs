@@ -7,7 +7,9 @@
 //!
 //! * [`experiment`] — the §IV-C grid: 4 workflows × 2 datasets ×
 //!   {full-site, pure-reactive, reactive-conserving, wire} × 4 charging units
-//!   with repetitions, fanned out across cores with rayon;
+//!   with repetitions, as a spec ([`ExperimentGrid`]), per-run runners and
+//!   the aggregates Figures 5–6 and the headline claims read (the
+//!   `wire-campaign` runner executes the grid);
 //! * [`prediction`] — the §IV-D offline prediction-accuracy study behind
 //!   Figure 4 (per-stage error CDFs over random task orders);
 //! * [`stats`] — means/medians/stds/quantiles used in Figures 5–6;

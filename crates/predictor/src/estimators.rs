@@ -6,7 +6,7 @@
 //! are widely observed in cloud loads."
 //!
 //! This module implements all three so the claim can be tested empirically
-//! (see the `ablation` bench binary and the estimator-comparison study).
+//! (see `wire campaign ablation` and its estimator-comparison study).
 
 use serde::{Deserialize, Serialize};
 use wire_dag::Millis;
