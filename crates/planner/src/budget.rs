@@ -88,11 +88,9 @@ pub fn throttle_launches(
 /// WIRE with a deadline *and* a budget: grow ahead while the deadline is at
 /// risk, throttle once it has slack.
 ///
-/// Unlike [`crate::DeadlineWirePolicy`] — which trades the fill target alone
-/// and resets every other steering knob on a mode flip — this policy mutates
-/// only `fill_target` and `budget_spend_early` on the steering config it was
-/// constructed with, so budget knee, spot floors and family steering survive
-/// mode switches. Urgent mode provisions partially-fillable instances
+/// A mode flip mutates only `fill_target` and `budget_spend_early` on the
+/// steering config the policy was constructed with, so budget knee, spot
+/// floors and family steering survive mode switches. Urgent mode provisions partially-fillable instances
 /// (fill target [`URGENT_FILL`]) and spends budget at full rate up to the
 /// hard ceiling; relaxed mode restores [`RELAXED_FILL`] and the knee curve.
 #[derive(Debug, Clone)]
@@ -144,9 +142,12 @@ impl ScalingPolicy for GrowAheadWirePolicy {
     }
 
     fn plan(&mut self, snapshot: &MonitorSnapshot<'_>) -> PoolPlan {
-        // ingest first so the projection sees the freshest predictor state;
-        // a mode flip takes effect at the next tick (see DeadlineWirePolicy
-        // for why re-planning within the tick would pollute the history).
+        // let the inner policy ingest this interval's observations first, so
+        // the projection below uses the freshest predictor state (including
+        // the very first tick). A mode flip therefore takes effect at the
+        // *next* tick — one interval of latency, accepted deliberately:
+        // re-planning within the same tick would ingest the interval's
+        // observations twice and pollute the moving-median history.
         let plan = self.inner.plan(snapshot);
         let want_urgent = projected_finish(&self.inner, snapshot) > self.deadline;
         if want_urgent != self.urgent {

@@ -1,54 +1,25 @@
-//! Deadline-aware WIRE — an extension beyond the paper.
+//! Deadline projection — an extension beyond the paper.
 //!
 //! §IV-A observes that "it is possible to modulate the aggressiveness of the
 //! heuristic to obtain a selected balance of cost and speed, e.g., by
-//! modulating the target utilization level". This policy closes that loop:
-//! it runs standard WIRE, but each interval it projects a crude completion
-//! time from the predicted remaining work and the current pool, and when the
-//! projection overshoots a user deadline it lowers Algorithm 3's fill target
+//! modulating the target utilization level". [`crate::GrowAheadWirePolicy`]
+//! closes that loop: it runs standard WIRE, but each interval it projects a
+//! crude completion time ([`projected_finish`]) from the predicted remaining
+//! work and the current pool, and when the projection overshoots a user
+//! deadline it lowers Algorithm 3's fill target to [`URGENT_FILL`]
 //! (provisioning instances it can only partially fill); when the projection
-//! has slack it restores the paper's cost-first behaviour.
+//! has slack it restores the paper's cost-first [`RELAXED_FILL`].
 
-use crate::steering::SteeringConfig;
 use crate::wire_policy::WirePolicy;
 use wire_dag::Millis;
-use wire_simcloud::{MonitorSnapshot, PoolPlan, ScalingPolicy, TaskView};
+use wire_simcloud::{MonitorSnapshot, TaskView};
 
 /// Fill targets used at the two aggressiveness levels.
 pub const RELAXED_FILL: f64 = 1.0;
 pub const URGENT_FILL: f64 = 0.1;
 
-/// WIRE with a completion-time deadline.
-#[derive(Debug, Clone)]
-pub struct DeadlineWirePolicy {
-    deadline: Millis,
-    inner: WirePolicy,
-    urgent: bool,
-    switches: u32,
-}
-
-impl DeadlineWirePolicy {
-    pub fn new(deadline: Millis) -> Self {
-        DeadlineWirePolicy {
-            deadline,
-            inner: WirePolicy::default(),
-            urgent: false,
-            switches: 0,
-        }
-    }
-
-    /// How often the policy flipped between cost-first and deadline-first.
-    pub fn mode_switches(&self) -> u32 {
-        self.switches
-    }
-
-    pub fn is_urgent(&self) -> bool {
-        self.urgent
-    }
-}
-
-/// Barrier-aware completion projection shared by the deadline policies
-/// ([`DeadlineWirePolicy`] and [`crate::GrowAheadWirePolicy`]): per stage
+/// Barrier-aware completion projection behind
+/// [`crate::GrowAheadWirePolicy`]'s mode switch: per stage
 /// with incomplete tasks, the stage needs at least max(longest estimate,
 /// stage work / pool slots); stages execute as a (pessimistic) sequence.
 /// Exact pipelining between stages is ignored — the point is a usable mode
@@ -85,46 +56,15 @@ pub fn projected_finish(inner: &WirePolicy, snapshot: &MonitorSnapshot<'_>) -> M
     snapshot.now + eta
 }
 
-impl ScalingPolicy for DeadlineWirePolicy {
-    fn name(&self) -> &str {
-        "wire-deadline"
-    }
-
-    fn plan(&mut self, snapshot: &MonitorSnapshot<'_>) -> PoolPlan {
-        // let the inner policy ingest this interval's observations first, so
-        // the projection below uses the freshest predictor state (including
-        // the very first tick). A mode flip therefore takes effect at the
-        // *next* tick — one interval of latency, accepted deliberately:
-        // re-planning within the same tick would ingest the interval's
-        // observations twice and pollute the moving-median history.
-        let plan = self.inner.plan(snapshot);
-        let projected = projected_finish(&self.inner, snapshot);
-        let want_urgent = projected > self.deadline;
-        if want_urgent != self.urgent {
-            self.urgent = want_urgent;
-            self.switches += 1;
-            self.inner.set_steering(SteeringConfig {
-                fill_target: if want_urgent {
-                    URGENT_FILL
-                } else {
-                    RELAXED_FILL
-                },
-                ..SteeringConfig::default()
-            });
-        }
-        plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::steering::check_decision_postconditions;
+    use crate::steering::{check_decision_postconditions, SteeringConfig};
     use crate::GrowAheadWirePolicy;
     use wire_dag::{ExecProfile, TaskId, Workflow, WorkflowBuilder};
     use wire_simcloud::{
         CloudConfig, CompletionView, InstanceId, InstanceStateView, InstanceView, RunResult,
-        Session, SnapshotBuffers, WorkflowSlot,
+        ScalingPolicy, Session, SnapshotBuffers, WorkflowSlot,
     };
     use wire_telemetry::TelemetryHandle;
     use wire_workloads::WorkloadId;
@@ -154,7 +94,7 @@ mod tests {
         let relaxed = run(
             &wf,
             &prof,
-            DeadlineWirePolicy::new(Millis::from_hours(50)),
+            GrowAheadWirePolicy::new(Millis::from_hours(50)),
             1,
         );
         assert_eq!(relaxed.charging_units, wire.charging_units);
@@ -167,13 +107,13 @@ mod tests {
         let relaxed = run(
             &wf,
             &prof,
-            DeadlineWirePolicy::new(Millis::from_hours(50)),
+            GrowAheadWirePolicy::new(Millis::from_hours(50)),
             1,
         );
         let tight = run(
             &wf,
             &prof,
-            DeadlineWirePolicy::new(Millis::from_mins(10)),
+            GrowAheadWirePolicy::new(Millis::from_mins(10)),
             1,
         );
         assert!(
@@ -193,7 +133,7 @@ mod tests {
     #[test]
     fn completes_and_reports_switches() {
         let (wf, prof) = WorkloadId::PageRankS.generate(2);
-        let mut policy = DeadlineWirePolicy::new(Millis::from_mins(2));
+        let mut policy = GrowAheadWirePolicy::new(Millis::from_mins(2));
         let r = run(&wf, &prof, &mut policy, 2);
         assert_eq!(r.task_records.len(), wf.num_tasks());
         // the projection must flip to urgent at least once under a

@@ -19,7 +19,6 @@ pub mod wire_policy;
 
 pub use baselines::{PureReactive, ReactiveConserving, StaticPolicy};
 pub use budget::{throttle_factor, throttle_launches, GrowAheadWirePolicy, DEFAULT_BUDGET_KNEE};
-pub use deadline::DeadlineWirePolicy;
 pub use lookahead::{lookahead, lookahead_into, LookaheadScratch, Upcoming};
 pub use oracle::OracleWirePolicy;
 pub use resize::resize_pool;

@@ -170,14 +170,6 @@ impl CloudConfig {
         }
     }
 
-    /// Deprecated shim for the pre-[`SchedulerSpec`] API: toggle the
-    /// first-five boost by installing the matching FIFO scheduler.
-    #[deprecated(since = "0.8.0", note = "set `scheduler: SchedulerSpec` instead")]
-    pub fn first_five_priority(mut self, on: bool) -> Self {
-        self.scheduler = SchedulerSpec::Fifo { first_five: on };
-        self
-    }
-
     /// Enable failure injection with the given mean time between failures.
     pub fn failures(mut self, mtbf: Millis) -> Self {
         self.mean_time_between_failures = Some(mtbf);
@@ -322,19 +314,6 @@ mod tests {
         let c = c.failures(Millis::from_mins(30));
         assert_eq!(c.mean_time_between_failures, Some(Millis::from_mins(30)));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn first_five_shim_installs_matching_fifo() {
-        assert_eq!(
-            CloudConfig::default().scheduler,
-            SchedulerSpec::first_five()
-        );
-        let c = CloudConfig::default().first_five_priority(false);
-        assert_eq!(c.scheduler, SchedulerSpec::plain_fifo());
-        let c = c.first_five_priority(true);
-        assert_eq!(c.scheduler, SchedulerSpec::first_five());
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::observe::{CompletionView, InstanceView, MonitorSnapshot, TaskView, Wo
 use crate::policy::{PoolPlan, ScalingPolicy, TerminateWhen};
 use crate::result::{InstanceBill, RunResult, TaskRecord, WorkflowOutcome};
 use crate::scheduler::{AnyScheduler, Scheduler};
-use crate::trace::{RunTrace, TraceEvent};
 use crate::transfer::TransferModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,9 +81,10 @@ struct RunInfo {
     transfer: Millis,
 }
 
-/// The engine. Use [`crate::Session`] for the common case; construct an
-/// `Engine` directly (or via [`Engine::recording`] to attach a telemetry
-/// [`Recorder`]) when you want the single-workflow constructor signature.
+/// The engine. Build it through [`crate::Session`]; reach for
+/// [`Engine::from_submissions_with`] only to plug in a statically-typed
+/// scheduler. Its outputs are the [`RunResult`] and the
+/// [`TelemetryEvent`] stream sent to its [`Recorder`].
 ///
 /// The default recorder is [`NoopRecorder`]: every telemetry call site is
 /// guarded by `recorder.enabled()`, which monomorphizes to a constant
@@ -105,7 +105,7 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     total_tasks: usize,
     /// Submissions that have arrived so far (always a prefix of `slots`).
     arrived: usize,
-    /// More than one submission? Workflow-lifecycle trace/telemetry events
+    /// More than one submission? Workflow-lifecycle telemetry events
     /// are only emitted in multi-workflow sessions, keeping single-workflow
     /// output byte-identical to the historical engine.
     multi: bool,
@@ -229,8 +229,6 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     /// summing the bill list.
     #[cfg(debug_assertions)]
     debug_billed: u64,
-
-    trace: Option<RunTrace>,
 }
 
 /// Period of the full O(tasks + instances + bills) debug invariant walk;
@@ -247,110 +245,13 @@ fn naive_core_default() -> bool {
     *NAIVE.get_or_init(|| std::env::var("WIRE_NAIVE_CORE").is_ok_and(|v| v == "1"))
 }
 
-/// Run `wf` under `policy` and return the aggregate result.
-///
-/// Deprecated-in-docs: prefer the [`crate::Session`] builder —
-/// `Session::new(config).transfer(model).policy(policy).seed(seed)
-/// .submit(&wf, &prof).run()` — which reads the same in any argument order
-/// and extends to multi-workflow sessions. This wrapper is the N=1 special
-/// case and stays decision-identical to it.
-pub fn run_workflow<P: ScalingPolicy>(
-    wf: &Workflow,
-    profile: &ExecProfile,
-    config: CloudConfig,
-    transfer_model: TransferModel,
-    policy: P,
-    seed: u64,
-) -> Result<RunResult, RunError> {
-    Engine::new(wf, profile, config, transfer_model, policy, seed)?.run()
-}
-
-/// Like [`run_workflow`], but records telemetry into `recorder`.
-pub fn run_workflow_recorded<P: ScalingPolicy, R: Recorder>(
-    wf: &Workflow,
-    profile: &ExecProfile,
-    config: CloudConfig,
-    transfer_model: TransferModel,
-    policy: P,
-    seed: u64,
-    recorder: R,
-) -> Result<RunResult, RunError> {
-    Engine::recording(wf, profile, config, transfer_model, policy, seed, recorder)?.run()
-}
-
-impl<'a, P: ScalingPolicy> Engine<'a, P> {
-    pub fn new(
-        wf: &'a Workflow,
-        profile: &'a ExecProfile,
-        config: CloudConfig,
-        transfer_model: TransferModel,
-        policy: P,
-        seed: u64,
-    ) -> Result<Self, RunError> {
-        Engine::recording(
-            wf,
-            profile,
-            config,
-            transfer_model,
-            policy,
-            seed,
-            NoopRecorder,
-        )
-    }
-}
-
-impl<'a, P: ScalingPolicy, R: Recorder> Engine<'a, P, R> {
-    /// Construct an engine with a telemetry [`Recorder`] attached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recording(
-        wf: &'a Workflow,
-        profile: &'a ExecProfile,
-        config: CloudConfig,
-        transfer_model: TransferModel,
-        policy: P,
-        seed: u64,
-        recorder: R,
-    ) -> Result<Self, RunError> {
-        Engine::from_submissions(
-            vec![(Millis::ZERO, wf, profile)],
-            config,
-            transfer_model,
-            policy,
-            seed,
-            recorder,
-        )
-    }
-
-    /// Construct a multi-workflow engine from `(submitted_at, workflow,
-    /// profile)` triples; the [`crate::Session`] builder is the public face
-    /// of this constructor. The scheduler is built from
-    /// [`CloudConfig::scheduler`] behind the type-erased [`AnyScheduler`].
-    pub(crate) fn from_submissions(
-        submissions: Vec<(Millis, &'a Workflow, &'a ExecProfile)>,
-        config: CloudConfig,
-        transfer_model: TransferModel,
-        policy: P,
-        seed: u64,
-        recorder: R,
-    ) -> Result<Self, RunError> {
-        let spec = config.scheduler;
-        let cfg = config.clone();
-        Engine::from_submissions_with(
-            submissions,
-            config,
-            transfer_model,
-            policy,
-            seed,
-            recorder,
-            move |num_tasks, num_stages| spec.build(num_tasks, num_stages, &cfg),
-        )
-    }
-}
-
 impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
-    /// Generic core constructor: like [`Engine::from_submissions`], but the
-    /// caller supplies the scheduler via `make_scheduler(num_tasks,
-    /// num_stages)` — the hook for statically-typed custom schedulers.
+    /// Construct a multi-workflow engine from `(submitted_at, workflow,
+    /// profile)` triples; the caller supplies the scheduler via
+    /// `make_scheduler(num_tasks, num_stages)` — the hook for
+    /// statically-typed custom schedulers. [`crate::Session`] is the public
+    /// face of this constructor and builds the scheduler from
+    /// [`CloudConfig::scheduler`] behind the type-erased [`AnyScheduler`].
     /// After construction every scheduler observes each submission (DAG +
     /// ground-truth profile) through [`Scheduler::prepare`], in submission
     /// order.
@@ -489,7 +390,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             #[cfg(debug_assertions)]
             debug_billed: 0,
             config,
-            trace: None,
         })
     }
 
@@ -545,16 +445,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         Ok(self.into_result())
     }
 
-    /// Run to completion, returning the result together with the trace.
-    pub fn run_traced(mut self) -> Result<(RunResult, RunTrace), RunError> {
-        if self.trace.is_none() {
-            self.trace = Some(RunTrace::default());
-        }
-        self.run_inner()?;
-        let trace = self.trace.take().unwrap_or_default();
-        Ok((self.into_result(), trace))
-    }
-
     fn run_inner(&mut self) -> Result<(), RunError> {
         // initial pool, ready at time zero (always the default family 0)
         for _ in 0..self.config.initial_instances {
@@ -564,7 +454,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 },
                 0,
             );
-            self.trace_push(TraceEvent::InstanceReady { instance: id });
             self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
             self.schedule_failure(id);
             self.schedule_eviction(id);
@@ -634,7 +523,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                         && self.instances[instance.index()].is_running()
                     {
                         self.failures += 1;
-                        self.trace_push(TraceEvent::InstanceFailed { instance });
                         self.emit(TelemetryEvent::InstanceFailed {
                             instance: instance.0,
                         });
@@ -661,7 +549,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                         && self.instances[instance.index()].is_running()
                     {
                         self.evictions += 1;
-                        self.trace_push(TraceEvent::SpotEvicted { instance });
                         self.emit(TelemetryEvent::SpotEvicted {
                             instance: instance.0,
                         });
@@ -698,10 +585,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         if self.multi {
             let slot = &self.slots[sub];
             let (id, tasks) = (slot.id, slot.num_tasks() as u32);
-            self.trace_push(TraceEvent::WorkflowSubmitted {
-                workflow: id,
-                tasks,
-            });
             self.emit(TelemetryEvent::WorkflowSubmitted {
                 workflow: id.0,
                 tasks,
@@ -746,7 +629,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.count_launching -= 1;
         self.count_running += 1;
         self.dispatchable.insert(id.0);
-        self.trace_push(TraceEvent::InstanceReady { instance: id });
         self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
         self.schedule_failure(id);
         self.schedule_eviction(id);
@@ -846,7 +728,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
     }
 
-    /// Crash one instance exactly like an MTBF failure: counted, traced,
+    /// Crash one instance exactly like an MTBF failure: counted, recorded,
     /// tasks resubmitted, started units billed. No-op unless `Running` —
     /// scripted kills racing a drain or a never-launched id lose the race,
     /// mirroring the stale-epoch rule for `InstanceFail` events.
@@ -857,7 +739,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             .is_some_and(|inst| inst.is_running());
         if running {
             self.failures += 1;
-            self.trace_push(TraceEvent::InstanceFailed { instance: id });
             self.emit(TelemetryEvent::InstanceFailed { instance: id.0 });
             self.terminate_instance(id);
         }
@@ -924,7 +805,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             },
         });
         self.interval_transfers.push(transfer);
-        self.trace_push(TraceEvent::TaskCompleted { task });
         self.emit(TelemetryEvent::TaskCompleted {
             task: task.index() as u32,
             stage: stage.0,
@@ -944,10 +824,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             if self.multi {
                 let slot_info = &self.slots[sub];
                 let (id, makespan) = (slot_info.id, finished - slot_info.submitted_at);
-                self.trace_push(TraceEvent::WorkflowCompleted {
-                    workflow: id,
-                    makespan,
-                });
                 if self.recorder.enabled() {
                     // single-tenant lower bound, same formula as the
                     // slowdown denominator in `into_result`; only computed
@@ -1016,14 +892,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.mem_demand[task.index()] =
             self.mem_demand[task.index()].max(self.mem_peak[task.index()]);
         self.push_resubmit(task);
-        self.trace_push(TraceEvent::TaskOom { task, sunk });
         self.emit(TelemetryEvent::TaskOom {
             task: task.index() as u32,
             instance: instance.0,
             demand_mb: self.mem_demand[task.index()],
             peak_mb: self.mem_peak[task.index()],
         });
-        self.trace_push(TraceEvent::TaskResubmitted { task, sunk });
         self.emit(TelemetryEvent::TaskResubmitted {
             task: task.index() as u32,
             instance: instance.0,
@@ -1123,11 +997,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.new_completions.clear();
         self.interval_transfers.clear();
         self.interval_ooms = 0;
-        self.trace_push(TraceEvent::MapeTick {
-            pool: self.active_instances(),
-            launch: plan.total_launches(),
-            terminate: plan.terminate.len() as u32,
-        });
         if self.recorder.enabled() {
             // Pool breakdown from the incremental lifecycle counters; naive
             // mode recomputes it by scanning, as the pre-change engine did.
@@ -1232,10 +1101,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                                 epoch,
                             },
                         );
-                        self.trace_push(TraceEvent::InstanceDraining {
-                            instance: id,
-                            until: boundary,
-                        });
                         self.emit(TelemetryEvent::InstanceDraining {
                             instance: id.0,
                             until: boundary,
@@ -1273,7 +1138,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             let id = self.new_instance(InstanceState::Launching { ready_at }, family);
             self.queue
                 .push(ready_at, EventKind::InstanceReady { instance: id });
-            self.trace_push(TraceEvent::InstanceRequested { instance: id });
             self.emit(TelemetryEvent::InstanceRequested { instance: id.0 });
         }
         Ok(())
@@ -1332,10 +1196,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             released_at: self.clock,
             units,
         });
-        self.trace_push(TraceEvent::InstanceTerminated {
-            instance: id,
-            units,
-        });
         self.emit(TelemetryEvent::InstanceTerminated {
             instance: id.0,
             units,
@@ -1363,7 +1223,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             self.set_phase(task, TaskPhase::Ready);
             self.ready_at[task.index()] = self.clock;
             self.push_resubmit(task);
-            self.trace_push(TraceEvent::TaskResubmitted { task, sunk });
             self.emit(TelemetryEvent::TaskResubmitted {
                 task: task.index() as u32,
                 instance: id.0,
@@ -1580,7 +1439,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 );
             }
         }
-        self.trace_push(TraceEvent::TaskDispatched { task, instance });
         self.emit(TelemetryEvent::TaskDispatched {
             task: task.index() as u32,
             stage: stage.0,
@@ -1697,7 +1555,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 
     /// Workflow complete: bill every remaining instance up to `clock`.
     fn finish(&mut self) {
-        self.trace_push(TraceEvent::WorkflowDone);
         self.emit(TelemetryEvent::WorkflowDone);
         for i in 0..self.instances.len() {
             let inst = &mut self.instances[i];
@@ -1942,12 +1799,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         // per-instance bills sum to the total billed so far (old derivation)
         let billed: u64 = self.instance_bills.iter().map(|b| b.units).sum();
         debug_assert_eq!(billed, self.units_total, "billing drift");
-    }
-
-    fn trace_push(&mut self, ev: TraceEvent) {
-        if let Some(tr) = &mut self.trace {
-            tr.push(self.clock, ev);
-        }
     }
 
     /// Forward an event to the telemetry recorder at the current simulated
@@ -2282,6 +2133,50 @@ mod tests {
         (wf, prof)
     }
 
+    /// One workflow through the [`crate::Session`] builder.
+    fn run_one<P: ScalingPolicy>(
+        wf: &Workflow,
+        prof: &ExecProfile,
+        cfg: CloudConfig,
+        tm: TransferModel,
+        policy: P,
+        seed: u64,
+    ) -> Result<RunResult, RunError> {
+        crate::Session::new(cfg)
+            .transfer(tm)
+            .policy(policy)
+            .seed(seed)
+            .submit(wf, prof)
+            .run()
+    }
+
+    /// [`run_one`] on the base config with a telemetry handle attached:
+    /// the result and the times of every recorded event of `kind`.
+    fn event_times<P: ScalingPolicy>(
+        wf: &Workflow,
+        prof: &ExecProfile,
+        policy: P,
+        kind: &str,
+    ) -> (RunResult, Vec<Millis>) {
+        let handle = wire_telemetry::TelemetryHandle::new();
+        let r = crate::Session::new(base_config())
+            .transfer(TransferModel::none())
+            .policy(policy)
+            .seed(1)
+            .recording(handle.clone())
+            .submit(wf, prof)
+            .run()
+            .unwrap();
+        let times = handle
+            .take()
+            .events
+            .into_iter()
+            .filter(|(_, e)| e.kind() == kind)
+            .map(|(t, _)| t)
+            .collect();
+        (r, times)
+    }
+
     fn base_config() -> CloudConfig {
         CloudConfig {
             slots_per_instance: 1,
@@ -2305,7 +2200,7 @@ mod tests {
     #[test]
     fn chain_on_one_instance_is_sequential() {
         let (wf, prof) = chain(5, 60);
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
         assert_eq!(r.makespan, Millis::from_mins(5));
         assert_eq!(r.busy_slot_time, Millis::from_mins(5));
         assert_eq!(r.wasted_slot_time, Millis::ZERO);
@@ -2319,7 +2214,7 @@ mod tests {
     #[test]
     fn fanout_on_one_slot_serializes() {
         let (wf, prof) = fanout(4, 60);
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
         assert_eq!(r.makespan, Millis::from_mins(4));
         assert_eq!(r.charging_units, 1);
     }
@@ -2331,7 +2226,7 @@ mod tests {
             initial_instances: 4,
             ..base_config()
         };
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
         assert_eq!(r.makespan, Millis::from_mins(2)); // 8 tasks / 4 slots
         assert_eq!(r.charging_units, 4);
         assert_eq!(r.peak_instances, 4);
@@ -2344,7 +2239,7 @@ mod tests {
             slots_per_instance: 4,
             ..base_config()
         };
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
         assert_eq!(r.makespan, Millis::from_mins(1));
         assert_eq!(r.charging_units, 1);
     }
@@ -2373,7 +2268,7 @@ mod tests {
                 }
             }
         }
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Replenish(4), 9).unwrap();
+        let r = run_one(&wf, &prof, cfg, TransferModel::none(), Replenish(4), 9).unwrap();
         assert_eq!(r.task_records.len(), 20);
         assert!(r.failures > 0, "expected at least one injected failure");
         assert_eq!(
@@ -2388,7 +2283,7 @@ mod tests {
     #[test]
     fn zero_mtbf_means_no_failures() {
         let (wf, prof) = fanout(8, 60);
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 9).unwrap();
+        let r = run_one(&wf, &prof, base_config(), TransferModel::none(), Hold, 9).unwrap();
         assert_eq!(r.failures, 0);
     }
 
@@ -2415,7 +2310,7 @@ mod tests {
                 }
             }
         }
-        let a = run_workflow(
+        let a = run_one(
             &wf,
             &prof,
             cfg.clone(),
@@ -2424,7 +2319,7 @@ mod tests {
             9,
         )
         .unwrap();
-        let b = run_workflow(&wf, &prof, cfg, TransferModel::none(), Replenish(4), 9).unwrap();
+        let b = run_one(&wf, &prof, cfg, TransferModel::none(), Replenish(4), 9).unwrap();
         assert_eq!(a.failures, b.failures);
         assert_eq!(a.makespan, b.makespan);
     }
@@ -2437,7 +2332,7 @@ mod tests {
             run_teardown: Millis::from_mins(2),
             ..base_config()
         };
-        let r = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap();
         // 4 min setup + 1 min task + 2 min teardown
         assert_eq!(r.makespan, Millis::from_mins(7));
         // the instance is billed through the whole run (7 min < 15-min unit)
@@ -2449,7 +2344,7 @@ mod tests {
     #[test]
     fn billing_counts_started_units() {
         let (wf, prof) = chain(1, 16 * 60); // 16 min task, u = 15 min
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, base_config(), TransferModel::none(), Hold, 1).unwrap();
         assert_eq!(r.charging_units, 2);
     }
 
@@ -2472,25 +2367,11 @@ mod tests {
     #[test]
     fn launch_takes_one_lag() {
         let (wf, prof) = fanout(2, 600); // two 10-min tasks
-        let (r, trace) = Engine::new(
-            &wf,
-            &prof,
-            base_config(),
-            TransferModel::none(),
-            LaunchOnce(1, false),
-            1,
-        )
-        .unwrap()
-        .run_traced()
-        .unwrap();
+        let (r, ready_times) = event_times(&wf, &prof, LaunchOnce(1, false), "instance_ready");
         // t0 runs at 0 on i0. First tick at 3 min launches i1, ready at 6 min;
         // t1 runs 6..16 min.
         assert_eq!(r.makespan, Millis::from_mins(16));
         assert_eq!(r.instances_launched, 2);
-        let ready_times: Vec<Millis> = trace
-            .filter(|e| matches!(e, TraceEvent::InstanceReady { .. }))
-            .map(|&(t, _)| t)
-            .collect();
         assert_eq!(ready_times, vec![Millis::ZERO, Millis::from_mins(6)]);
     }
 
@@ -2501,7 +2382,7 @@ mod tests {
             site_capacity: 3,
             ..base_config()
         };
-        let r = run_workflow(
+        let r = run_one(
             &wf,
             &prof,
             cfg,
@@ -2537,7 +2418,7 @@ mod tests {
     #[test]
     fn immediate_termination_resubmits_running_task() {
         let (wf, prof) = chain(1, 600); // one 10-min task
-        let r = run_workflow(
+        let r = run_one(
             &wf,
             &prof,
             base_config(),
@@ -2559,26 +2440,17 @@ mod tests {
     #[test]
     fn boundary_termination_drains_until_charge_expires() {
         let (wf, prof) = chain(1, 20 * 60); // 20-min task, u = 15 min
-        let (r, trace) = Engine::new(
+        let (r, term_times) = event_times(
             &wf,
             &prof,
-            base_config(),
-            TransferModel::none(),
             KillFirst(false, TerminateWhen::AtChargeBoundary),
-            1,
-        )
-        .unwrap()
-        .run_traced()
-        .unwrap();
+            "instance_terminated",
+        );
         // i0 drains at the 15-min boundary; task (sunk 15 min) resubmits to
         // i1 (ready at 6 min, idle) and runs 15..35 min.
         assert_eq!(r.makespan, Millis::from_mins(35));
         assert_eq!(r.restarts, 1);
         assert_eq!(r.wasted_slot_time, Millis::from_mins(15));
-        let term_times: Vec<Millis> = trace
-            .filter(|e| matches!(e, TraceEvent::InstanceTerminated { .. }))
-            .map(|&(t, _)| t)
-            .collect();
         assert_eq!(term_times[0], Millis::from_mins(15));
         // i0: exactly one unit; i1: 0→35 min wall but charged from 6 min → 29
         // min → 2 units
@@ -2601,8 +2473,7 @@ mod tests {
             }
         }
         let (wf, prof) = chain(2, 600);
-        let err =
-            run_workflow(&wf, &prof, base_config(), TransferModel::none(), Bad, 1).unwrap_err();
+        let err = run_one(&wf, &prof, base_config(), TransferModel::none(), Bad, 1).unwrap_err();
         assert!(matches!(err, RunError::InvalidPlan(_)));
     }
 
@@ -2614,7 +2485,7 @@ mod tests {
             max_sim_time: Millis::from_hours(1),
             ..base_config()
         };
-        let err = run_workflow(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap_err();
+        let err = run_one(&wf, &prof, cfg, TransferModel::none(), Hold, 1).unwrap_err();
         assert!(matches!(
             err,
             RunError::TimeLimit {
@@ -2637,13 +2508,13 @@ mod tests {
             fixed_overhead: Millis::from_ms(100),
             jitter: 0.3,
         };
-        let a = run_workflow(&wf, &prof, cfg.clone(), tm.clone(), Hold, 42).unwrap();
-        let b = run_workflow(&wf, &prof, cfg.clone(), tm.clone(), Hold, 42).unwrap();
+        let a = run_one(&wf, &prof, cfg.clone(), tm.clone(), Hold, 42).unwrap();
+        let b = run_one(&wf, &prof, cfg.clone(), tm.clone(), Hold, 42).unwrap();
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.charging_units, b.charging_units);
         assert_eq!(a.task_records, b.task_records);
         // different seed differs (jittered exec/transfers)
-        let c = run_workflow(&wf, &prof, cfg, tm, Hold, 43).unwrap();
+        let c = run_one(&wf, &prof, cfg, tm, Hold, 43).unwrap();
         assert_ne!(a.task_records, c.task_records);
     }
 
@@ -2659,7 +2530,7 @@ mod tests {
             fixed_overhead: Millis::ZERO,
             jitter: 0.0,
         };
-        let r = run_workflow(&wf, &prof, base_config(), tm, Hold, 1).unwrap();
+        let r = run_one(&wf, &prof, base_config(), tm, Hold, 1).unwrap();
         // 1 s in + 10 s exec + 1 s out
         assert_eq!(r.makespan, Millis::from_secs(12));
         let rec = r.task_records[0];
@@ -2701,7 +2572,7 @@ mod tests {
         let probe = Probe {
             saw: std::cell::Cell::new(false),
         };
-        let r = run_workflow(&wf, &prof, base_config(), TransferModel::none(), &probe, 1).unwrap();
+        let r = run_one(&wf, &prof, base_config(), TransferModel::none(), &probe, 1).unwrap();
         assert!(probe.saw.get());
         assert!(r.mape_iterations >= 1);
     }
@@ -2729,7 +2600,7 @@ mod tests {
             mape_interval: Millis::from_mins(1),
             ..base_config()
         };
-        run_workflow(&wf, &prof, cfg, TransferModel::none(), &counter, 1).unwrap();
+        run_one(&wf, &prof, cfg, TransferModel::none(), &counter, 1).unwrap();
         // the final completion may coincide with run end (no tick after), so
         // the policy sees at most all and at least all-but-the-last ones
         assert!(counter.total.get() >= 4, "saw {}", counter.total.get());
@@ -2738,7 +2609,7 @@ mod tests {
     #[test]
     fn pool_timeline_tracks_changes() {
         let (wf, prof) = fanout(2, 600);
-        let r = run_workflow(
+        let r = run_one(
             &wf,
             &prof,
             base_config(),

@@ -27,7 +27,9 @@
 //!
 //! The public entry point is the [`Session`] builder, which accepts one or
 //! many workflows with submission times and bills them against one shared
-//! pool; [`run_workflow`] remains as the single-workflow convenience wrapper.
+//! pool. A run reports through its [`RunResult`] and through the
+//! [`TelemetryEvent`] stream it sends to the attached [`Recorder`] (e.g. a
+//! [`TelemetryHandle`]).
 
 pub mod chaos;
 pub mod config;
@@ -40,12 +42,11 @@ pub mod policy;
 pub mod result;
 pub mod scheduler;
 pub mod session;
-pub mod trace;
 pub mod transfer;
 
 pub use chaos::{Fault, FaultAction, FaultPlan, FaultTrigger};
 pub use config::{BudgetConfig, CloudConfig};
-pub use engine::{run_workflow, run_workflow_recorded, Engine, RunError};
+pub use engine::{Engine, RunError};
 pub use family::{FamilyId, FamilySpec, MemoryProfile, SpotSpec};
 pub use instance::{InstanceId, InstanceStateView};
 pub use observe::{
@@ -57,6 +58,5 @@ pub use scheduler::{
     AnyScheduler, RankKind, RankScheduler, ReadyQueue, Scheduler, SchedulerSpec, BOOSTED_PER_STAGE,
 };
 pub use session::{HoldPolicy, Session};
-pub use trace::{RunTrace, TraceEvent};
 pub use transfer::TransferModel;
 pub use wire_telemetry::{NoopRecorder, Recorder, TelemetryEvent, TelemetryHandle};

@@ -34,7 +34,6 @@ use crate::observe::MonitorSnapshot;
 use crate::policy::{PoolPlan, ScalingPolicy};
 use crate::result::RunResult;
 use crate::scheduler::SchedulerSpec;
-use crate::trace::RunTrace;
 use crate::transfer::TransferModel;
 use wire_dag::{ExecProfile, Millis, Workflow};
 use wire_telemetry::{NoopRecorder, Recorder};
@@ -70,8 +69,7 @@ impl ScalingPolicy for HoldPolicy {
 ///
 /// `policy` and `recording` change the builder's type parameters; every
 /// other method returns `Self`. Workflows are numbered in submission-time
-/// order (ties keep submit-call order), and a session with a single
-/// `submit` is decision-identical to [`crate::run_workflow`].
+/// order (ties keep submit-call order).
 pub struct Session<'a, P: ScalingPolicy = HoldPolicy, R: Recorder = NoopRecorder> {
     config: CloudConfig,
     transfer: TransferModel,
@@ -122,14 +120,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
     /// byte.
     pub fn scheduler(mut self, spec: SchedulerSpec) -> Self {
         self.config.scheduler = spec;
-        self
-    }
-
-    /// Deprecated shim for the pre-[`SchedulerSpec`] API: toggles between
-    /// the boosted and plain FIFO schedulers.
-    #[deprecated(since = "0.8.0", note = "use `.scheduler(SchedulerSpec::...)` instead")]
-    pub fn first_five_priority(mut self, on: bool) -> Self {
-        self.config.scheduler = SchedulerSpec::Fifo { first_five: on };
         self
     }
 
@@ -210,16 +200,19 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
         self
     }
 
-    /// Construct the engine without running it (to call `run_traced`, or to
-    /// inspect construction errors separately).
+    /// Construct the engine without running it (to inspect construction
+    /// errors separately).
     pub fn build(self) -> Result<Engine<'a, P, R>, RunError> {
-        let mut engine = Engine::from_submissions(
+        let spec = self.config.scheduler;
+        let sched_cfg = self.config.clone();
+        let mut engine = Engine::from_submissions_with(
             self.submissions,
             self.config,
             self.transfer,
             self.policy,
             self.seed,
             self.recorder,
+            move |num_tasks, num_stages| spec.build(num_tasks, num_stages, &sched_cfg),
         )?;
         if let Some(naive) = self.naive {
             engine.naive_core(naive);
@@ -237,11 +230,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
     /// Run the session to completion.
     pub fn run(self) -> Result<RunResult, RunError> {
         self.build()?.run()
-    }
-
-    /// Run the session to completion, returning the result with the trace.
-    pub fn run_traced(self) -> Result<(RunResult, RunTrace), RunError> {
-        self.build()?.run_traced()
     }
 }
 
@@ -284,12 +272,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn scheduler_builder_and_shim_set_config() {
+    fn scheduler_builder_sets_config() {
         let s = Session::new(cfg()).scheduler(SchedulerSpec::Heft);
         assert_eq!(s.config.scheduler, SchedulerSpec::Heft);
-        let s = s.first_five_priority(false);
-        assert_eq!(s.config.scheduler, SchedulerSpec::plain_fifo());
     }
 
     #[test]
@@ -313,38 +298,18 @@ mod tests {
     }
 
     #[test]
-    fn single_submission_matches_run_workflow() {
+    fn single_submission_is_one_workflow() {
         let (wf, prof) = fanout("f", 6, 120);
-        let direct =
-            crate::run_workflow(&wf, &prof, cfg(), TransferModel::none(), HoldPolicy, 7).unwrap();
-        let via_session = Session::new(cfg())
+        let r = Session::new(cfg())
             .transfer(TransferModel::none())
             .seed(7)
             .submit(&wf, &prof)
             .run()
             .unwrap();
-        assert_eq!(direct.makespan, via_session.makespan);
-        assert_eq!(direct.charging_units, via_session.charging_units);
-        assert_eq!(direct.task_records, via_session.task_records);
-        assert_eq!(via_session.per_workflow.len(), 1);
-        assert_eq!(via_session.per_workflow[0].makespan, via_session.makespan);
-        assert_eq!(via_session.workflow, "f");
-    }
-
-    #[test]
-    fn single_submission_trace_matches_run_workflow_trace() {
-        let (wf, prof) = fanout("f", 6, 120);
-        let (_, t1) = Engine::new(&wf, &prof, cfg(), TransferModel::none(), HoldPolicy, 7)
-            .unwrap()
-            .run_traced()
-            .unwrap();
-        let (_, t2) = Session::new(cfg())
-            .transfer(TransferModel::none())
-            .seed(7)
-            .submit(&wf, &prof)
-            .run_traced()
-            .unwrap();
-        assert_eq!(t1.render(), t2.render());
+        assert_eq!(r.task_records.len(), 6);
+        assert_eq!(r.per_workflow.len(), 1);
+        assert_eq!(r.per_workflow[0].makespan, r.makespan);
+        assert_eq!(r.workflow, "f");
     }
 
     #[test]
@@ -478,41 +443,30 @@ mod tests {
     }
 
     #[test]
-    fn multi_trace_carries_workflow_lifecycle_events() {
-        use crate::trace::TraceEvent;
+    fn multi_session_records_workflow_lifecycle_events() {
+        use wire_telemetry::{TelemetryEvent, TelemetryHandle};
+        let lifecycle = |subs: &[(Millis, &Workflow, &ExecProfile)]| {
+            let handle = TelemetryHandle::new();
+            let mut session = Session::new(cfg())
+                .transfer(TransferModel::none())
+                .recording(handle.clone());
+            for &(at, wf, prof) in subs {
+                session = session.submit_at(at, wf, prof);
+            }
+            session.run().unwrap();
+            let events = handle.take().events;
+            let count =
+                |f: fn(&TelemetryEvent) -> bool| events.iter().filter(|(_, e)| f(e)).count();
+            (
+                count(|e| matches!(e, TelemetryEvent::WorkflowSubmitted { .. })),
+                count(|e| matches!(e, TelemetryEvent::WorkflowCompleted { .. })),
+            )
+        };
         let (wa, pa) = fanout("a", 2, 60);
         let (wb, pb) = fanout("b", 2, 60);
-        let (_, trace) = Session::new(cfg())
-            .transfer(TransferModel::none())
-            .submit(&wa, &pa)
-            .submit_at(Millis::from_mins(1), &wb, &pb)
-            .run_traced()
-            .unwrap();
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::WorkflowSubmitted { .. }))
-                .count(),
-            2
-        );
-        assert_eq!(
-            trace
-                .filter(|e| matches!(e, TraceEvent::WorkflowCompleted { .. }))
-                .count(),
-            2
-        );
-        // single-workflow traces stay free of lifecycle events
-        let (_, solo) = Session::new(cfg())
-            .transfer(TransferModel::none())
-            .submit(&wa, &pa)
-            .run_traced()
-            .unwrap();
-        assert_eq!(
-            solo.filter(|e| matches!(
-                e,
-                TraceEvent::WorkflowSubmitted { .. } | TraceEvent::WorkflowCompleted { .. }
-            ))
-            .count(),
-            0
-        );
+        let pair = [(Millis::ZERO, &wa, &pa), (Millis::from_mins(1), &wb, &pb)];
+        assert_eq!(lifecycle(&pair), (2, 2));
+        // single-workflow runs stay free of lifecycle events
+        assert_eq!(lifecycle(&pair[..1]), (0, 0));
     }
 }

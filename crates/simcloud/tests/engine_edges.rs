@@ -4,7 +4,7 @@
 use wire_dag::{ExecProfile, Millis, TaskId, WorkflowBuilder};
 use wire_simcloud::{
     CloudConfig, InstanceId, MonitorSnapshot, PoolPlan, RunError, ScalingPolicy, Session,
-    TerminateWhen, TraceEvent, TransferModel,
+    TelemetryEvent, TelemetryHandle, TerminateWhen, TransferModel,
 };
 
 fn chain(n: usize, secs: u64) -> (wire_dag::Workflow, ExecProfile) {
@@ -93,25 +93,21 @@ fn drain_terminates_idle_at_boundary() {
     // tasks run 5 min each; the chain of three keeps the run alive past the
     // 15-min boundary where the drained instance is released
     let (wf, prof) = chain(3, 5 * 60);
-    let (r, trace) = Session::new(cfg())
+    let handle = TelemetryHandle::new();
+    let r = Session::new(cfg())
         .transfer(TransferModel::none())
         .policy(KillAtFirstTick(false))
         .seed(1)
+        .recording(handle.clone())
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .unwrap();
-    let term = trace
-        .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::InstanceTerminated {
-                    instance: InstanceId(0),
-                    ..
-                }
-            )
-        })
-        .map(|&(t, _)| t)
-        .next()
+    let term = handle
+        .take()
+        .events
+        .into_iter()
+        .find(|(_, e)| matches!(e, TelemetryEvent::InstanceTerminated { instance: 0, .. }))
+        .map(|(t, _)| t)
         .expect("i0 terminated");
     assert_eq!(term, Millis::from_mins(15));
     // task 0 completed on i0 before the drain point (no restart); task 1 ran

@@ -6,7 +6,7 @@
 //! cargo run --release --example deadline_scaling
 //! ```
 
-use wire::planner::DeadlineWirePolicy;
+use wire::planner::GrowAheadWirePolicy;
 use wire::prelude::*;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         let deadline = Millis::from_mins(deadline_mins);
         let r = Session::new(cfg.clone())
             .transfer(TransferModel::default())
-            .policy(DeadlineWirePolicy::new(deadline))
+            .policy(GrowAheadWirePolicy::new(deadline))
             .seed(5)
             .submit(&wf, &prof)
             .run()

@@ -25,7 +25,8 @@
 //!   --deadline <mins>    deadline-aware grow-ahead: spend budget early while
 //!                        the projected finish overshoots this deadline
 //!   --timeline           print the pool-size timeline
-//!   --trace-out <path>   CSV event trace (replayable)
+//!   --trace-out <path>   engine event stream as JSONL, one telemetry event
+//!                        per line (not a `wire replay` input)
 //!   --trace-chrome <p>   Chrome trace_event JSON (open in Perfetto)
 //!   --decisions <path>   human-readable MAPE decision journal
 //!   --metrics-csv <p>    per-tick metrics timeseries CSV
@@ -63,7 +64,10 @@ struct Opts {
 impl Opts {
     /// Any flag that needs the telemetry recorder attached to the run.
     fn wants_telemetry(&self) -> bool {
-        self.trace_chrome.is_some() || self.decisions.is_some() || self.metrics_csv.is_some()
+        self.trace_out.is_some()
+            || self.trace_chrome.is_some()
+            || self.decisions.is_some()
+            || self.metrics_csv.is_some()
     }
 }
 
@@ -254,27 +258,19 @@ fn run_one(
         .policy(policy)
         .seed(opts.seed)
         .submit(wf, prof);
-    let result = if let Some(handle) = &telemetry {
-        let session = session.recording(handle.clone());
-        if let Some(path) = &opts.trace_out {
-            let (result, trace) = session.run_traced().map_err(|e| e.to_string())?;
-            std::fs::write(path, trace.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
-            println!("[event trace: {path}]");
-            result
-        } else {
-            session.run().map_err(|e| e.to_string())?
-        }
-    } else if let Some(path) = &opts.trace_out {
-        let (result, trace) = session.run_traced().map_err(|e| e.to_string())?;
-        std::fs::write(path, trace.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
-        println!("[event trace: {path}]");
-        result
-    } else {
-        session.run().map_err(|e| e.to_string())?
-    };
+    let result = match &telemetry {
+        Some(handle) => session.recording(handle.clone()).run(),
+        None => session.run(),
+    }
+    .map_err(|e| e.to_string())?;
 
     if let Some(handle) = &telemetry {
         let buffer = handle.take();
+        if let Some(path) = &opts.trace_out {
+            std::fs::write(path, events_to_jsonl(&buffer))
+                .map_err(|e| format!("write {path}: {e}"))?;
+            println!("[event stream: {path}]");
+        }
         if let Some(path) = &opts.trace_chrome {
             std::fs::write(path, wire::telemetry::export::chrome_trace(&buffer, slots))
                 .map_err(|e| format!("write {path}: {e}"))?;
@@ -680,7 +676,7 @@ fn print_usage() {
         "  wire run <workload> [--policy P] [--scheduler S] [--u MIN] [--seed N]
                       [--family name:slots:speed:price_milli[:mem_mb][:spot:mtbe:price]]...
                       [--spot FLOOR] [--budget MILLI] [--deadline MIN]
-                      [--timeline] [--trace-out events.csv]
+                      [--timeline] [--trace-out events.jsonl]
                       [--trace-chrome trace.json] [--decisions mape.log] [--metrics-csv ticks.csv]"
     );
     println!("  wire compare <workload> [--u MIN] [--seed N]");
@@ -701,6 +697,9 @@ fn print_usage() {
     println!("policies: wire (default), oracle, full-site, pure-reactive,");
     println!("          reactive-conserving");
     println!("schedulers: fifo-ff (default), fifo, heft, minmin, cpath, portfolio");
+    println!();
+    println!("--trace-out writes the engine's event stream as JSONL, one telemetry");
+    println!("event per line; `wire replay` reads only `wire export` traces.");
 }
 
 fn main() -> ExitCode {

@@ -64,9 +64,9 @@ pub mod prelude {
         PureReactive, ReactiveConserving, StaticPolicy, SteeringConfig, WirePolicy,
     };
     pub use wire_simcloud::{
-        run_workflow, AnyScheduler, CloudConfig, Engine, FamilySpec, HoldPolicy, MemoryProfile,
-        MonitorSnapshot, PoolPlan, RankKind, RankScheduler, ReadyQueue, RunResult, ScalingPolicy,
-        Scheduler, SchedulerSpec, Session, SpotSpec, TransferModel, WorkflowOutcome, WorkflowSlot,
+        AnyScheduler, CloudConfig, Engine, FamilySpec, HoldPolicy, MemoryProfile, MonitorSnapshot,
+        PoolPlan, RankKind, RankScheduler, ReadyQueue, RunResult, ScalingPolicy, Scheduler,
+        SchedulerSpec, Session, SpotSpec, TransferModel, WorkflowOutcome, WorkflowSlot,
     };
     pub use wire_telemetry::export::{
         chrome_trace, decision_log, decisions_to_jsonl, events_to_jsonl, metrics_csv,

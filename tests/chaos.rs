@@ -3,26 +3,18 @@
 //! and policy-independent where the engine (not the policy) owns the
 //! invariant — all with the invariant checker riding along.
 
+mod common;
+
+use common::{run_digest, GOLDEN_DIGESTS};
 use wire::core::experiment::{cloud_config_for, Setting};
 use wire::planner::OracleWirePolicy;
 use wire::prelude::*;
 use wire::simcloud::InstanceId;
 use wire_chaos::{FaultPlan, InvariantChecker, Tee};
 
-/// FNV-1a 64; keep in sync with tests/golden.rs (separate test binaries
-/// cannot share helpers without a support crate).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The digest of tests/golden.rs's `wire_run_digest`, with two chaos twists:
-/// an explicit (possibly empty) fault plan, and the invariant checker teed
-/// into the same recorder slot. Must stay byte-compatible with golden.rs.
+/// The golden run digest (`common::run_digest`) with an explicit (possibly
+/// empty) fault plan attached and the invariant checker teed into the same
+/// recorder slot.
 fn wire_run_digest_chaotic(workload: WorkloadId, seed: u64, plan: FaultPlan) -> u64 {
     let (wf, prof) = workload.generate(seed);
     let cfg = cloud_config_for(
@@ -34,40 +26,26 @@ fn wire_run_digest_chaotic(workload: WorkloadId, seed: u64, plan: FaultPlan) -> 
     let checker =
         InvariantChecker::new(&cfg).expect_workflow(wf.num_tasks() as u32, wf.num_stages() as u32);
     let policy = WirePolicy::default().with_telemetry(handle.clone());
-    let (result, trace) = Session::new(cfg)
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
         .recording(Tee(handle.clone(), checker.clone()))
         .chaos(plan)
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .expect("run completes");
     let buffer = handle.take();
     checker.absorb_decisions(&buffer.decisions);
     checker.assert_clean();
-
-    let mut blob = trace.render();
-    blob.push_str(&events_to_jsonl(&buffer));
-    blob.push_str(&decisions_to_jsonl(&buffer));
-    blob.push_str(&format!(
-        "units={} makespan={} restarts={} launched={}\n",
-        result.charging_units,
-        result.makespan.as_ms(),
-        result.restarts,
-        result.instances_launched
-    ));
-    fnv1a(blob.as_bytes())
+    run_digest(&buffer, &result)
 }
 
 #[test]
 fn noop_fault_plan_reproduces_the_golden_digests_byte_identically() {
-    // Pinned in tests/golden.rs::GOLDEN_DIGESTS: attaching an empty plan (and
-    // the checker) must not shift a single byte of the observable output.
-    for (w, seed, expected) in [
-        (WorkloadId::Tpch6S, 1, 0xd9df99ba218ceefb_u64),
-        (WorkloadId::EpigenomicsS, 3, 0xb25b0846f3907545_u64),
-    ] {
+    // Attaching an empty plan (and the checker) must not shift a single
+    // byte of the observable output: one pinned cell per workload.
+    for (w, seed, expected) in [GOLDEN_DIGESTS[0], GOLDEN_DIGESTS[2]] {
         let digest = wire_run_digest_chaotic(w, seed, FaultPlan::new());
         assert_eq!(
             digest,

@@ -7,7 +7,10 @@
 //! constants deliberately (and note why in the commit) rather than loosening
 //! the assertions.
 
-use wire::core::experiment::{cloud_config_for, run_setting, Setting};
+mod common;
+
+use common::{run_digest, GOLDEN_DIGESTS};
+use wire::core::experiment::{build_policy, cloud_config_for, run_setting, Setting};
 use wire::prelude::*;
 use wire_chaos::{InvariantChecker, Tee};
 
@@ -57,30 +60,6 @@ fn golden_costs_and_makespans() {
     }
 }
 
-/// FNV-1a 64 over a byte stream; hand-rolled so the constant is stable
-/// across std versions (DefaultHasher makes no such promise).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Pinned digests of the *entire observable output* of a WIRE run: the
-/// event trace, the telemetry event stream, the MAPE decision journal, and
-/// the billing/makespan summary. Any scratch-buffer or memoization change
-/// to the hot path must keep these byte-identical — the optimizations are
-/// required to change zero decisions.
-const GOLDEN_DIGESTS: &[(WorkloadId, u64, u64)] = &[
-    // (workload, seed, fnv1a of trace+events+journal+summary)
-    (WorkloadId::Tpch6S, 1, 0xd9df99ba218ceefb),
-    (WorkloadId::Tpch6S, 5, 0xaf4ad2e960b231ac),
-    (WorkloadId::EpigenomicsS, 3, 0xb25b0846f3907545),
-    (WorkloadId::EpigenomicsS, 7, 0x816705b257a73ec7),
-];
-
 fn wire_run_digest(workload: WorkloadId, seed: u64) -> u64 {
     let cfg = cloud_config_for(
         Setting::Wire,
@@ -91,8 +70,6 @@ fn wire_run_digest(workload: WorkloadId, seed: u64) -> u64 {
 }
 
 fn wire_run_digest_with(workload: WorkloadId, seed: u64, cfg: CloudConfig) -> (u64, RunResult) {
-    // Digests flow through the Session builder: the N = 1 session path is
-    // required to be bit-identical to the pre-session single-workflow engine.
     let (wf, prof) = workload.generate(seed);
     let handle = TelemetryHandle::new();
     // The invariant checker rides every golden run: recorders are
@@ -100,29 +77,18 @@ fn wire_run_digest_with(workload: WorkloadId, seed: u64, cfg: CloudConfig) -> (u
     let checker =
         InvariantChecker::new(&cfg).expect_workflow(wf.num_tasks() as u32, wf.num_stages() as u32);
     let policy = WirePolicy::default().with_telemetry(handle.clone());
-    let (result, trace) = Session::new(cfg)
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
         .recording(Tee(handle.clone(), checker.clone()))
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .expect("run completes");
     let buffer = handle.take();
     checker.absorb_decisions(&buffer.decisions);
     checker.assert_clean();
-
-    let mut blob = trace.render();
-    blob.push_str(&events_to_jsonl(&buffer));
-    blob.push_str(&decisions_to_jsonl(&buffer));
-    blob.push_str(&format!(
-        "units={} makespan={} restarts={} launched={}\n",
-        result.charging_units,
-        result.makespan.as_ms(),
-        result.restarts,
-        result.instances_launched
-    ));
-    (fnv1a(blob.as_bytes()), result)
+    (run_digest(&buffer, &result), result)
 }
 
 #[test]
@@ -132,7 +98,7 @@ fn golden_wire_trace_and_journal_digests() {
         assert_eq!(
             digest,
             expected,
-            "{} / seed={seed}: run trace, event stream or decision journal changed (digest {digest:#x})",
+            "{} / seed={seed}: event stream or decision journal changed (digest {digest:#x})",
             w.name()
         );
     }
@@ -233,40 +199,46 @@ fn infinite_budget_equals_unconstrained_field_for_field() {
 }
 
 #[test]
-fn golden_session_n1_matches_run_workflow_exactly() {
-    // The deprecated single-workflow wrapper and a one-submission Session
-    // must be decision-identical: same RNG draws, same event order, same
-    // bill, for every pinned golden cell.
+fn golden_session_n1_matches_a_static_fifo_engine_exactly() {
+    // The two ways to build an engine — a one-submission Session (scheduler
+    // behind the type-erased AnyScheduler) and `Engine::from_submissions_with`
+    // with a statically-typed ReadyQueue — must be decision-identical: same
+    // RNG draws, same event order, same bill, for every pinned golden cell.
     for &(w, s, u, seed, _, _) in GOLDEN {
         let (wf, prof) = w.generate(seed);
         let cfg = cloud_config_for(s, Millis::from_mins(u), w.spec().total_input_bytes);
-        let legacy = run_workflow(
-            &wf,
-            &prof,
+        let SchedulerSpec::Fifo { first_five } = cfg.scheduler else {
+            panic!("golden cells run a FIFO scheduler");
+        };
+        let direct = Engine::from_submissions_with(
+            vec![(Millis::ZERO, &wf, &prof)],
             cfg.clone(),
             TransferModel::default(),
-            wire::core::experiment::build_policy(s, &cfg),
+            build_policy(s, &cfg),
             seed,
+            NoopRecorder,
+            |tasks, stages| ReadyQueue::with_sizes(tasks, stages, first_five),
         )
+        .and_then(|engine| engine.run())
         .unwrap();
         let session = Session::new(cfg.clone())
-            .policy(wire::core::experiment::build_policy(s, &cfg))
+            .policy(build_policy(s, &cfg))
             .seed(seed)
             .submit(&wf, &prof)
             .run()
             .unwrap();
         let cell = format!("{} / {}", w.name(), s.label());
-        assert_eq!(legacy.charging_units, session.charging_units, "{cell}");
-        assert_eq!(legacy.makespan, session.makespan, "{cell}");
-        assert_eq!(legacy.restarts, session.restarts, "{cell}");
+        assert_eq!(direct.charging_units, session.charging_units, "{cell}");
+        assert_eq!(direct.makespan, session.makespan, "{cell}");
+        assert_eq!(direct.restarts, session.restarts, "{cell}");
         assert_eq!(
-            legacy.instances_launched, session.instances_launched,
+            direct.instances_launched, session.instances_launched,
             "{cell}"
         );
-        assert_eq!(legacy.task_records, session.task_records, "{cell}");
-        assert_eq!(legacy.instance_bills, session.instance_bills, "{cell}");
-        assert_eq!(legacy.pool_timeline, session.pool_timeline, "{cell}");
-        assert_eq!(legacy.per_workflow, session.per_workflow, "{cell}");
+        assert_eq!(direct.task_records, session.task_records, "{cell}");
+        assert_eq!(direct.instance_bills, session.instance_bills, "{cell}");
+        assert_eq!(direct.pool_timeline, session.pool_timeline, "{cell}");
+        assert_eq!(direct.per_workflow, session.per_workflow, "{cell}");
     }
 }
 

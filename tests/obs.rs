@@ -18,28 +18,18 @@ use wire::prelude::*;
 use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
 use wire_chaos::{InvariantChecker, Tee};
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+mod common;
 
-/// Pinned in tests/golden.rs for (TPCH-6 S, seed 1) WITHOUT the streaming
-/// recorder attached; copied verbatim — if this constant moves there, move
-/// it here too. The test below re-derives the digest with the streaming
-/// recorder teed in and must land on the same value.
-const TPCH6_SEED1_DIGEST: u64 = 0xd9df99ba218ceefb;
+use common::{run_digest, GOLDEN_DIGESTS};
 
 /// Satellite: the streaming recorder rides through the chaos
 /// `InvariantChecker` via the existing `Tee` combinator without moving a
 /// pinned golden digest, and its aggregates match the full buffer.
 #[test]
 fn streaming_recorder_composes_without_perturbing_golden_digest() {
-    let workload = WorkloadId::Tpch6S;
-    let seed = 1;
+    // pinned WITHOUT the streaming recorder attached; re-derived below with
+    // it teed in, the digest must land on the same value
+    let (workload, seed, pinned) = GOLDEN_DIGESTS[0];
     let (wf, prof) = workload.generate(seed);
     let cfg = cloud_config_for(
         Setting::Wire,
@@ -53,32 +43,21 @@ fn streaming_recorder_composes_without_perturbing_golden_digest() {
     let policy = WirePolicy::default()
         .with_telemetry(handle.clone())
         .with_obs(obs.clone());
-    let (result, trace) = Session::new(cfg)
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
         .recording(Tee(handle.clone(), Tee(checker.clone(), obs.clone())))
         .submit(&wf, &prof)
-        .run_traced()
+        .run()
         .expect("run completes");
     let buffer = handle.take();
     checker.absorb_decisions(&buffer.decisions);
     checker.assert_clean();
 
-    // same blob layout as tests/golden.rs::wire_run_digest
-    let mut blob = trace.render();
-    blob.push_str(&events_to_jsonl(&buffer));
-    blob.push_str(&decisions_to_jsonl(&buffer));
-    blob.push_str(&format!(
-        "units={} makespan={} restarts={} launched={}\n",
-        result.charging_units,
-        result.makespan.as_ms(),
-        result.restarts,
-        result.instances_launched
-    ));
     assert_eq!(
-        fnv1a(blob.as_bytes()),
-        TPCH6_SEED1_DIGEST,
+        run_digest(&buffer, &result),
+        pinned,
         "teeing the streaming recorder into a golden run moved the digest"
     );
 
