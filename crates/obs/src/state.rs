@@ -9,6 +9,7 @@
 //! marks so the overhead bench can assert exactly that.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use wire_dag::Millis;
@@ -40,6 +41,31 @@ impl Default for ObsConfig {
             window_capacity: 64,
             progress_every: 0,
         }
+    }
+}
+
+/// Hash for dense `u32` task ids: one multiply by the 64-bit golden ratio.
+/// An odd multiplier permutes the low bits the table indexes by and mixes
+/// the high bits it tags with; SipHash's DoS resistance buys nothing for
+/// keys the simulator assigns itself.
+#[derive(Debug, Default, Clone, Copy)]
+struct TaskIdHasher(u64);
+
+const GOLDEN_RATIO_64: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for TaskIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN_RATIO_64);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(GOLDEN_RATIO_64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -171,8 +197,10 @@ pub struct ObsState {
     /// Workflow slot → first global task index, for completion-time removal.
     by_slot: BTreeMap<u32, u64>,
     next_first_task: u64,
-    /// Outstanding predictions awaiting their task's actual runtime.
-    pending_pred: HashMap<u32, u64>,
+    /// Outstanding predictions awaiting their task's actual runtime. Only
+    /// inserted into, removed from and counted, never iterated, so the
+    /// hasher cannot reach any output.
+    pending_pred: HashMap<u32, u64, BuildHasherDefault<TaskIdHasher>>,
     windows: VecDeque<(u64, WindowAgg)>,
     evicted: WindowAgg,
     evicted_windows: u64,
@@ -200,7 +228,7 @@ impl ObsState {
             active: BTreeMap::new(),
             by_slot: BTreeMap::new(),
             next_first_task: 0,
-            pending_pred: HashMap::new(),
+            pending_pred: HashMap::default(),
             windows: VecDeque::new(),
             evicted: WindowAgg::default(),
             evicted_windows: 0,

@@ -21,7 +21,7 @@ pub enum Estimator {
     Mean,
     /// Three-sigma rule: mean of the observations within μ ± 3σ, i.e. the
     /// mean after discarding extreme outliers (Pukelsheim 1994, the paper's
-    /// [15]). With small samples it degenerates to the plain mean.
+    /// \[15\]). With small samples it degenerates to the plain mean.
     ThreeSigma,
 }
 

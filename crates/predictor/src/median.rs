@@ -37,24 +37,6 @@ pub fn median_millis(values: &[Millis]) -> Option<Millis> {
     }))
 }
 
-/// [`median_millis`] without the copy: selects in place (reordering
-/// `values`) instead of sorting a clone — O(n) expected and allocation-free,
-/// for per-tick callers that own a scratch buffer. Returns the same value as
-/// [`median_millis`] on the same multiset.
-pub fn median_millis_mut(values: &mut [Millis]) -> Option<Millis> {
-    let n = values.len();
-    if n == 0 {
-        return None;
-    }
-    let (below, &mut upper, _) = values.select_nth_unstable(n / 2);
-    Some(if n % 2 == 1 {
-        upper
-    } else {
-        let lower = below.iter().copied().max().expect("even n >= 2");
-        Millis::from_ms((lower.as_ms() + upper.as_ms()) / 2)
-    })
-}
-
 /// Incremental median accumulator over durations.
 ///
 /// Keeps a sorted vector with binary-search insertion; stage populations in the

@@ -5,8 +5,14 @@
 //! more-consistent trends of the task performance at each stage". This keeps a
 //! bounded window of per-interval observation batches and answers the median
 //! over the most recent `window` non-empty intervals.
+//!
+//! Every retained batch is a sorted run. A batch's own median is read from
+//! the middle of its run, and the window median is an exact k-th-element
+//! query across the runs: a bisection over values that counts each run's
+//! share with one binary search. On a stage with `n` running tasks that costs
+//! O(n) to sort an already ascending batch plus O(W log n log V) to query
+//! (W ≤ 8 runs, V the age range).
 
-use crate::median::median_millis;
 use std::collections::VecDeque;
 use wire_dag::Millis;
 
@@ -14,7 +20,23 @@ use wire_dag::Millis;
 #[derive(Debug, Clone)]
 pub struct IntervalMedian {
     window: usize,
+    /// Oldest first; each batch sorted ascending.
     intervals: VecDeque<Vec<Millis>>,
+}
+
+/// Median of an ascending run; even lengths average the two central values,
+/// exactly as [`crate::median_millis`] does.
+fn run_median(run: &[Millis]) -> Option<Millis> {
+    let n = run.len();
+    match n {
+        0 => None,
+        _ if n % 2 == 1 => Some(run[n / 2]),
+        _ => Some(midpoint(run[n / 2 - 1], run[n / 2])),
+    }
+}
+
+fn midpoint(lower: Millis, upper: Millis) -> Millis {
+    Millis::from_ms((lower.as_ms() + upper.as_ms()) / 2)
 }
 
 impl IntervalMedian {
@@ -34,9 +56,13 @@ impl IntervalMedian {
     /// *memoryless with fallback*: it prefers the freshest data and degrades to
     /// older intervals only when the fresh ones are silent.
     ///
+    /// The batch is sorted here, once; a batch that arrives ascending costs
+    /// one linear pass.
+    ///
     /// Returns the batch evicted from the window (if any) so callers on the
     /// per-tick hot path can recycle its allocation for the next interval.
-    pub fn push_interval(&mut self, obs: Vec<Millis>) -> Option<Vec<Millis>> {
+    pub fn push_interval(&mut self, mut obs: Vec<Millis>) -> Option<Vec<Millis>> {
+        obs.sort_unstable();
         self.intervals.push_back(obs);
         let mut evicted = None;
         while self.intervals.len() > self.window {
@@ -45,29 +71,73 @@ impl IntervalMedian {
         evicted
     }
 
+    /// Median of the most recently pushed interval alone; `None` if that
+    /// interval observed nothing.
+    pub fn newest_median(&self) -> Option<Millis> {
+        self.intervals.back().and_then(|run| run_median(run))
+    }
+
     /// Median over the observations of the newest non-empty interval within the
     /// window (the paper's `t̃_data`: the median of the transfers between the
     /// n−1th and nth iterations, with older intervals as fallback).
     pub fn latest_median(&self) -> Option<Millis> {
-        self.intervals
-            .iter()
-            .rev()
-            .find(|batch| !batch.is_empty())
-            .and_then(|batch| median_millis(batch))
+        self.intervals.iter().rev().find_map(|run| run_median(run))
     }
 
     /// Median over *all* observations in the window — the longer-term trend.
+    /// Equal to [`crate::median_millis`] of the concatenated window.
     pub fn window_median(&self) -> Option<Millis> {
-        self.window_median_into(&mut Vec::new())
+        let n = self.num_observations();
+        if n == 0 {
+            return None;
+        }
+        let upper = self.kth(n / 2);
+        if n % 2 == 1 {
+            return Some(upper);
+        }
+        // the element just below the upper middle: `upper` again when fewer
+        // than n/2 observations lie strictly below it, else the largest of them
+        let below = |r: &Vec<Millis>| r.partition_point(|&x| x < upper);
+        let lower = if self.intervals.iter().map(below).sum::<usize>() < n / 2 {
+            upper
+        } else {
+            self.intervals
+                .iter()
+                .filter_map(|r| r[..below(r)].last())
+                .copied()
+                .max()
+                .expect("n/2 observations lie below the upper middle")
+        };
+        Some(midpoint(lower, upper))
     }
 
-    /// [`IntervalMedian::window_median`] reusing a caller-held scratch buffer
-    /// — per-tick callers avoid re-allocating (and re-sorting) the gathered
-    /// window on every interval.
-    pub fn window_median_into(&self, scratch: &mut Vec<Millis>) -> Option<Millis> {
-        scratch.clear();
-        scratch.extend(self.intervals.iter().flatten().copied());
-        crate::median::median_millis_mut(scratch)
+    /// The `k`-th smallest retained observation (0-based, `k` < total): the
+    /// least value with more than `k` observations at or below it, found by
+    /// bisecting the value range. That least value is always an observation.
+    fn kth(&self, k: usize) -> Millis {
+        let runs = || self.intervals.iter();
+        let mut lo = runs()
+            .filter_map(|r| r.first())
+            .min()
+            .expect("k < total")
+            .as_ms();
+        let mut hi = runs()
+            .filter_map(|r| r.last())
+            .max()
+            .expect("k < total")
+            .as_ms();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let at_or_below: usize = runs()
+                .map(|r| r.partition_point(|x| x.as_ms() <= mid))
+                .sum();
+            if at_or_below > k {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Millis::from_ms(lo)
     }
 
     /// Whether any retained interval holds an observation. A window of

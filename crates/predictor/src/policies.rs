@@ -109,7 +109,6 @@ pub fn predict_task(state: &StageState, input_bytes: u64, status: TaskStatus) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire_dag::TaskId;
 
     fn secs(s: u64) -> Millis {
         Millis::from_secs(s)
@@ -127,7 +126,7 @@ mod tests {
     #[test]
     fn policy2_running_only() {
         let mut s = StageState::new();
-        s.set_running(vec![(TaskId(0), secs(4)), (TaskId(1), secs(8))]);
+        s.set_running([secs(4), secs(8)]);
         let p = predict_task(&s, 1000, TaskStatus::UnstartedReady);
         assert_eq!(p.policy, PolicyKind::RunningMedian);
         assert_eq!(p.exec_time, secs(6));

@@ -262,7 +262,10 @@ impl Predictor {
             state.record_completion(c.input_bytes, c.exec_time);
         }
         *observations += so.completed.len() as u64;
-        state.set_running(so.running.iter().map(|r| (r.task, r.age)));
+        // reverse snapshot order: a FIFO stage lists its oldest tasks first,
+        // so reversed its ages arrive ascending and the window's sort is a
+        // linear check
+        state.set_running(so.running.iter().rev().map(|r| r.age));
         state.update_model();
     }
 

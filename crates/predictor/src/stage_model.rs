@@ -6,7 +6,7 @@
 //! (Policy 2), and the stage's OGD model (Policy 5).
 
 use crate::estimators::Estimator;
-use crate::median::{median_millis_mut, MedianAcc};
+use crate::median::MedianAcc;
 use crate::moving::IntervalMedian;
 use crate::ogd::{OgdModel, TrainPoint};
 use wire_dag::{Millis, TaskId};
@@ -123,8 +123,8 @@ pub struct StageState {
     groups: Vec<SizeGroup>,
     /// Median accumulator over *all* completed execution times (Policy 3).
     all_completed: MedianAcc,
-    /// Current running tasks: (task, age so far). Replaced every interval.
-    running: Vec<(TaskId, Millis)>,
+    /// Number of tasks running at the last interval.
+    running_count: usize,
     /// Cached Policy-2 estimate, refreshed by [`StageState::set_running`].
     cached_running_age: Option<Millis>,
     /// Alternative central-tendency estimator (§III-C compares the median
@@ -141,10 +141,8 @@ pub struct StageState {
     ogd: OgdModel,
     /// Change stamps for memoizing per-task predictions.
     versions: StageVersions,
-    /// Recycled per-interval buffers (running ages, gathered window, OGD
-    /// training set).
+    /// Recycled per-interval buffers (running ages, OGD training set).
     age_scratch: Vec<Millis>,
-    window_scratch: Vec<Millis>,
     train_scratch: Vec<TrainPoint>,
     /// Whether the training set changed since the last Algorithm-1 step that
     /// left the OGD parameters in place. `false` means the model sits at a
@@ -185,35 +183,36 @@ impl StageState {
         self.model_dirty = true;
     }
 
-    /// Replace the running-task snapshot for the current interval, feeding
-    /// the ages into the moving-median window.
-    pub fn set_running<I>(&mut self, running: I)
+    /// Replace the running-task snapshot for the current interval with the
+    /// ages of the tasks running now, feeding them into the moving-median
+    /// window. The window sorts the batch, so ages fed in ascending order
+    /// cost one linear pass.
+    pub fn set_running<I>(&mut self, ages: I)
     where
-        I: IntoIterator<Item = (TaskId, Millis)>,
+        I: IntoIterator<Item = Millis>,
     {
-        let was_running = !self.running.is_empty();
+        let was_running = self.running_count > 0;
         let old_estimate = self.cached_running_age;
-        self.running.clear();
-        self.running.extend(running);
-        let mut ages = std::mem::take(&mut self.age_scratch);
-        ages.clear();
-        ages.extend(self.running.iter().map(|&(_, a)| a));
-        // cache the Policy-2 estimate once per interval: the controller reads
-        // it once per incomplete task, and recomputing medians over the window
-        // per read makes wide stages quadratic
-        let current = median_millis_mut(&mut ages);
+        let mut batch = std::mem::take(&mut self.age_scratch);
+        batch.clear();
+        batch.extend(ages);
+        self.running_count = batch.len();
         let history = self
             .age_history
             .get_or_insert_with(|| IntervalMedian::new(RUNNING_AGE_WINDOW));
-        if let Some(evicted) = history.push_interval(ages) {
+        if let Some(evicted) = history.push_interval(batch) {
             self.age_scratch = evicted;
         }
-        let windowed = history.window_median_into(&mut self.window_scratch);
+        // cache the Policy-2 estimate once per interval: the controller reads
+        // it once per incomplete task, and recomputing medians over the window
+        // per read makes wide stages quadratic
+        let current = history.newest_median();
+        let windowed = history.window_median();
         self.cached_running_age = match (current, windowed) {
             (Some(c), Some(w)) => Some(c.max(w)),
             (c, w) => c.or(w).filter(|_| current.is_some()),
         };
-        if self.cached_running_age != old_estimate || self.running.is_empty() == was_running {
+        if self.cached_running_age != old_estimate || (self.running_count > 0) != was_running {
             self.versions.running += 1;
         }
     }
@@ -248,7 +247,7 @@ impl StageState {
     }
 
     pub fn has_running(&self) -> bool {
-        !self.running.is_empty()
+        self.running_count > 0
     }
 
     pub fn completed_count(&self) -> usize {
@@ -319,7 +318,7 @@ impl StageState {
     /// stage stays settled until its next delivered observation.
     pub fn is_settled(&self) -> bool {
         !self.model_dirty
-            && self.running.is_empty()
+            && self.running_count == 0
             && self.cached_running_age.is_none()
             && self
                 .age_history
@@ -336,7 +335,7 @@ impl StageState {
                 .iter()
                 .map(SizeGroup::state_bytes)
                 .sum::<usize>()
-            + self.running.len() * std::mem::size_of::<(TaskId, Millis)>()
+            + self.running_count * std::mem::size_of::<(TaskId, Millis)>()
     }
 }
 
@@ -371,11 +370,7 @@ mod tests {
     fn policy2_median_running_age() {
         let mut s = StageState::new();
         assert!(!s.has_running());
-        s.set_running(vec![
-            (TaskId(0), Millis::from_secs(5)),
-            (TaskId(1), Millis::from_secs(9)),
-            (TaskId(2), Millis::from_secs(7)),
-        ]);
+        s.set_running([5, 9, 7].map(Millis::from_secs));
         assert_eq!(s.median_running_age(), Some(Millis::from_secs(7)));
         s.set_running(vec![]);
         assert_eq!(s.median_running_age(), None);

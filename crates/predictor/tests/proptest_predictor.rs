@@ -1,9 +1,38 @@
 //! Property tests on the predictor's numeric foundations.
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use wire_dag::Millis;
 use wire_predictor::ogd::TrainPoint;
-use wire_predictor::{median_millis, Estimator, MedianAcc, OgdModel};
+use wire_predictor::{
+    median_millis, Estimator, IntervalMedian, MedianAcc, OgdModel, StageState, TransferEstimator,
+};
+
+/// An interval stream: batches of 0..12 ages (so empty batches are common),
+/// each age either anywhere below 2^42 ms or, on `dup` streams, one of four
+/// values (heavy duplicates). The same stream drives both sides of each
+/// differential below.
+fn interval_stream() -> impl Strategy<Value = Vec<Vec<Millis>>> {
+    (
+        proptest::bool::ANY,
+        proptest::collection::vec(proptest::collection::vec(0u64..1 << 42, 0..12), 1..24),
+    )
+        .prop_map(|(dup, batches)| {
+            batches
+                .into_iter()
+                .map(|b| {
+                    b.into_iter()
+                        .map(|v| Millis::from_ms(if dup { v >> 40 } else { v }))
+                        .collect()
+                })
+                .collect()
+        })
+}
+
+/// The copy-and-select reference: [`median_millis`] over the concatenation.
+fn concat_median<'a>(window: impl IntoIterator<Item = &'a Vec<Millis>>) -> Option<Millis> {
+    median_millis(&window.into_iter().flatten().copied().collect::<Vec<_>>())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -89,6 +118,50 @@ proptest! {
             let err = (m.predict_secs(p.input_bytes) - p.exec_secs).abs();
             let tol = 0.05 * p.exec_secs.max(1.0);
             prop_assert!(err <= tol, "residual {err} at d={}", p.input_bytes);
+        }
+    }
+
+    #[test]
+    fn sorted_run_window_median_matches_copy_and_select(
+        window in 1usize..=8,
+        stream in interval_stream(),
+    ) {
+        let mut im = IntervalMedian::new(window);
+        let mut te = TransferEstimator::new(window);
+        let mut kept: VecDeque<Vec<Millis>> = VecDeque::new();
+        for batch in stream {
+            kept.push_back(batch.clone());
+            if kept.len() > window {
+                kept.pop_front();
+            }
+            te.push_interval(&batch);
+            im.push_interval(batch);
+            let newest = kept.back().unwrap();
+            let latest = kept.iter().rev().find(|b| !b.is_empty());
+            prop_assert_eq!(im.window_median(), concat_median(&kept));
+            prop_assert_eq!(im.newest_median(), median_millis(newest));
+            prop_assert_eq!(im.latest_median(), latest.and_then(|b| median_millis(b)));
+            prop_assert_eq!(te.estimate(), im.latest_median().unwrap_or(Millis::ZERO));
+            prop_assert_eq!(im.num_observations(), kept.iter().map(Vec::len).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn running_age_estimate_matches_copy_and_select(stream in interval_stream()) {
+        let mut s = StageState::new();
+        let mut kept: VecDeque<Vec<Millis>> = VecDeque::new();
+        for batch in stream {
+            kept.push_back(batch.clone());
+            if kept.len() > wire_predictor::stage_model::RUNNING_AGE_WINDOW {
+                kept.pop_front();
+            }
+            s.set_running(batch.iter().copied());
+            // Policy 2's t̃_run: max(current median, window median), and
+            // nothing while no task runs
+            let expected = median_millis(&batch)
+                .map(|current| current.max(concat_median(&kept).unwrap()));
+            prop_assert_eq!(s.median_running_age(), expected);
+            prop_assert_eq!(s.has_running(), !batch.is_empty());
         }
     }
 }

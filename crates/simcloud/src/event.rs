@@ -8,7 +8,7 @@
 //! * [`EventQueue::new`] — a hierarchical timer wheel (8 levels × 64 slots,
 //!   covering 2^48 ms ≈ 8 900 years of virtual time, with a rare overflow
 //!   list beyond that). Push is O(1); pop is amortized O(1) because every
-//!   event cascades down at most [`LEVELS`] times over its lifetime. Within
+//!   event cascades down at most once per level over its lifetime. Within
 //!   a bucket events are stored in insertion order, and level-0 buckets hold
 //!   exactly one timestamp, so the (time, seq) pop order of the old binary
 //!   heap is reproduced *exactly* — pinned by `tests/event_diff.rs`.

@@ -1,7 +1,7 @@
 //! Extension workloads beyond the paper's Table I: Montage and CyberShake,
 //! the other canonical Pegasus workflows from the profiling study the paper
 //! cites for Epigenomics (Juve et al., *Characterizing and profiling
-//! scientific workflows*, FGCS 2013 — the paper's [17]).
+//! scientific workflows*, FGCS 2013 — the paper's \[17\]).
 //!
 //! These are not part of the paper's evaluation; they extend the harness so
 //! WIRE can be exercised on differently-shaped DAGs (Montage's fan-in/fan-out
