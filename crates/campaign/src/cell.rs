@@ -8,24 +8,25 @@
 
 use std::time::Instant;
 
-use wire_chaos::{check_decision_journal, InvariantChecker, Tee};
+use wire_chaos::{check_decision_journal, InvariantChecker};
 use wire_core::experiment::{build_policy, cloud_config_for, Setting};
 use wire_dag::{ExecProfile, Millis, Workflow};
 use wire_obs::{ObsSnapshot, StreamingRecorder};
 use wire_planner::{OracleWirePolicy, SteeringConfig, WirePolicy};
 use wire_simcloud::{CloudConfig, RunResult, Session, TransferModel};
-use wire_telemetry::TelemetryHandle;
+use wire_telemetry::{Tee, TelemetryHandle};
 use wire_workloads::{linear_workflow, WorkloadId};
 
 /// Bumped whenever the cell execution semantics or the [`CellOutput`] cache
 /// payload change shape: every previously cached entry becomes unreadable
 /// (its key no longer matches) instead of silently serving stale data.
 ///
-/// v6: the key is derived from the `Debug` rendering of the whole cell
-/// instead of a hand-kept field list, so no field can be left out of it
-/// (v5 keys missed `CloudConfig::mutation_bill_eviction_grace`). Every
-/// older entry is recomputed, never served.
-pub const CACHE_FORMAT_VERSION: u32 = 6;
+/// v7: the streaming recorder joins each prediction against the task's
+/// occupancy (exec + transfer), not its exec time alone, so the cached
+/// `obs` snapshot moves for every cell with transfers; and `state_bytes`
+/// now counts the predictor's retained running-age window. Every older
+/// entry is recomputed, never served.
+pub const CACHE_FORMAT_VERSION: u32 = 7;
 
 /// What a cell runs.
 #[derive(Debug, Clone, PartialEq)]

@@ -906,18 +906,26 @@ fn dollars(milli: u64) -> String {
     format!("{:.3}", milli as f64 / 1000.0)
 }
 
-/// Best-of-`reps` wall time for one run closure (the minimum is the least
-/// noisy estimator for short deterministic runs).
-fn time_best(reps: usize, mut f: impl FnMut() -> RunResult) -> (f64, RunResult) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(r);
+/// Best-of-`reps` wall time for each run closure (the minimum is the least
+/// noisy estimator for short deterministic runs). The closures take turns
+/// within every rep, each rep starting one closure later, so neither host
+/// drift nor running order favours any of them.
+fn time_best<const N: usize>(
+    reps: usize,
+    runs: [&mut dyn FnMut() -> RunResult; N],
+) -> [(f64, RunResult); N] {
+    let mut best = [f64::INFINITY; N];
+    let mut last: [Option<RunResult>; N] = std::array::from_fn(|_| None);
+    for rep in 0..reps {
+        for k in 0..N {
+            let i = (rep + k) % N;
+            let t0 = Instant::now();
+            let r = runs[i]();
+            best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            last[i] = Some(r);
+        }
     }
-    (best, last.expect("reps >= 1"))
+    std::array::from_fn(|i| (best[i], last[i].take().expect("reps >= 1")))
 }
 
 /// Compare the default `NoopRecorder` path against bounded-memory streaming
@@ -927,7 +935,7 @@ fn time_best(reps: usize, mut f: impl FnMut() -> RunResult) -> (f64, RunResult) 
 /// when nobody listens. The streaming column shows what always-on
 /// observability costs relative to both extremes.
 fn telemetry_overhead(workloads: &[WorkloadId], quick: bool) {
-    let reps = if quick { 3 } else { 5 };
+    let reps = if quick { 15 } else { 25 };
     let u = Millis::from_mins(15);
     let mut t = Table::new([
         "workload",
@@ -942,43 +950,48 @@ fn telemetry_overhead(workloads: &[WorkloadId], quick: bool) {
     for &w in workloads {
         let (wf, prof) = w.generate(1);
         let cfg = cloud_config(Setting::Wire, u);
-        let (noop_s, noop_res) = time_best(reps, || {
-            Session::new(cfg.clone())
-                .transfer(TransferModel::default())
-                .policy(WirePolicy::default())
-                .seed(1)
-                .submit(&wf, &prof)
-                .run()
-                .expect("noop run completes")
-        });
-        let (stream_s, stream_res) = time_best(reps, || {
-            let obs = StreamingRecorder::new();
-            let policy = WirePolicy::default().with_obs(obs.clone());
-            Session::new(cfg.clone())
-                .transfer(TransferModel::default())
-                .policy(policy)
-                .seed(1)
-                .recording(obs.clone())
-                .submit(&wf, &prof)
-                .run()
-                .expect("streaming run completes")
-        });
         let mut captured = (0usize, 0usize);
-        let (rec_s, rec_res) = time_best(reps, || {
-            let handle = TelemetryHandle::new();
-            let policy = WirePolicy::default().with_telemetry(handle.clone());
-            let r = Session::new(cfg.clone())
-                .transfer(TransferModel::default())
-                .policy(policy)
-                .seed(1)
-                .recording(handle.clone())
-                .submit(&wf, &prof)
-                .run()
-                .expect("recorded run completes");
-            let buffer = handle.take();
-            captured = (buffer.events.len(), buffer.decisions.len());
-            r
-        });
+        let [(noop_s, noop_res), (stream_s, stream_res), (rec_s, rec_res)] = time_best(
+            reps,
+            [
+                &mut || {
+                    Session::new(cfg.clone())
+                        .transfer(TransferModel::default())
+                        .policy(WirePolicy::default())
+                        .seed(1)
+                        .submit(&wf, &prof)
+                        .run()
+                        .expect("noop run completes")
+                },
+                &mut || {
+                    let obs = StreamingRecorder::new();
+                    let policy = WirePolicy::default().with_obs(obs.clone());
+                    Session::new(cfg.clone())
+                        .transfer(TransferModel::default())
+                        .policy(policy)
+                        .seed(1)
+                        .recording(obs.clone())
+                        .submit(&wf, &prof)
+                        .run()
+                        .expect("streaming run completes")
+                },
+                &mut || {
+                    let handle = TelemetryHandle::new();
+                    let policy = WirePolicy::default().with_telemetry(handle.clone());
+                    let r = Session::new(cfg.clone())
+                        .transfer(TransferModel::default())
+                        .policy(policy)
+                        .seed(1)
+                        .recording(handle.clone())
+                        .submit(&wf, &prof)
+                        .run()
+                        .expect("recorded run completes");
+                    let buffer = handle.take();
+                    captured = (buffer.events.len(), buffer.decisions.len());
+                    r
+                },
+            ],
+        );
         // recording must observe, never perturb
         assert_eq!(noop_res.makespan, rec_res.makespan, "{}", w.name());
         assert_eq!(noop_res.makespan, stream_res.makespan, "{}", w.name());

@@ -22,12 +22,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use wire_chaos::Tee;
 use wire_dag::{ExecProfile, Millis, Workflow};
 use wire_obs::{ObsSnapshot, StreamingRecorder};
 use wire_planner::WirePolicy;
 use wire_simcloud::{CloudConfig, FaultPlan, Session, TransferModel};
-use wire_telemetry::Recorder;
+use wire_telemetry::{Recorder, Tee};
 use wire_workloads::linear_stage;
 
 /// Per-tenant arrival-stream salt ("TRAF" ⊕ golden-ratio mix).

@@ -1015,34 +1015,6 @@ pub fn check_decision_journal(decisions: &[DecisionRecord]) -> Vec<String> {
         .collect()
 }
 
-/// Fan one event stream out to two recorders (telemetry + checker, say).
-#[derive(Debug, Clone, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    fn record(&mut self, at: Millis, event: TelemetryEvent) {
-        if self.0.enabled() {
-            self.0.record(at, event);
-        }
-        if self.1.enabled() {
-            self.1.record(at, event);
-        }
-    }
-
-    fn tick(&mut self, at: Millis, stats: TickStats) {
-        if self.0.enabled() {
-            self.0.tick(at, stats);
-        }
-        if self.1.enabled() {
-            self.1.tick(at, stats);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1385,7 +1357,8 @@ mod tests {
     }
 
     #[test]
-    fn tee_feeds_both_recorders() {
+    fn tee_feeds_both_checkers() {
+        use wire_telemetry::Tee;
         let a = InvariantChecker::new(&cfg());
         let b = InvariantChecker::new(&cfg());
         let mut tee = Tee(a.clone(), b.clone());

@@ -1,6 +1,6 @@
 //! Deterministic chaos harness for the WIRE simulator.
 //!
-//! Three pieces, layered on top of the engine's scripted-fault hooks
+//! Two pieces, layered on top of the engine's scripted-fault hooks
 //! ([`wire_simcloud::FaultPlan`]):
 //!
 //! - [`InvariantChecker`]: a [`Recorder`](wire_telemetry::Recorder) that
@@ -12,8 +12,8 @@
 //!   postconditions ([`wire_planner::check_decision_postconditions`]) to a
 //!   recorded MAPE decision journal — no release while `r_j > t` or
 //!   `c_j > 0.2u` survives unnoticed.
-//! - [`Tee`]: a recorder combinator so a run can feed full telemetry *and*
-//!   the checker at once.
+//!
+//! Feed the checker next to other recorders with `wire_telemetry::Tee`.
 //!
 //! Everything here is observational: attaching the checker never perturbs a
 //! run (the engine's event stream is identical with or without a recorder),
@@ -21,7 +21,7 @@
 
 pub mod checker;
 
-pub use checker::{check_decision_journal, InvariantChecker, InvariantReport, Tee};
+pub use checker::{check_decision_journal, InvariantChecker, InvariantReport};
 // One-stop imports for chaos tests: the fault-plan vocabulary lives in the
 // simulator (the engine compiles plans into its own event queue).
 pub use wire_simcloud::{Fault, FaultAction, FaultPlan, FaultTrigger};

@@ -8,10 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 use wire_dag::Millis;
-use wire_obs::{ObsConfig, StreamingRecorder};
+use wire_obs::{ObsConfig, ObsSnapshot, StreamingRecorder};
 use wire_planner::{PureReactive, ReactiveConserving, StaticPolicy, WirePolicy};
 use wire_simcloud::{CloudConfig, RunResult, ScalingPolicy, SchedulerSpec, Session, TransferModel};
-use wire_telemetry::{TelemetryBuffer, TelemetryHandle};
+use wire_telemetry::{Tee, TelemetryBuffer, TelemetryHandle};
 use wire_workloads::{EnsembleSpec, WorkloadId};
 
 use crate::stats;
@@ -194,28 +194,35 @@ pub fn run_ensemble_obs(
     (result, recorder)
 }
 
-/// Like [`run_setting`], with full telemetry: engine events, per-tick
-/// metrics and (under [`Setting::Wire`]) the MAPE decision journal and
-/// prediction-quality join all land in the returned [`TelemetryBuffer`],
-/// ready for the `wire_telemetry::export` writers.
+/// Like [`run_setting`], with full telemetry: the engine events and (under
+/// [`Setting::Wire`]) the MAPE decision journal land in the returned
+/// [`TelemetryBuffer`], and a [`StreamingRecorder`] teed beside it yields
+/// the [`ObsSnapshot`] with one window per MAPE interval (none evicted) and
+/// the prediction-quality join. Together they feed the
+/// `wire_telemetry::export` and `wire_obs::export` writers.
 pub fn run_setting_telemetry(
     workload: WorkloadId,
     setting: Setting,
     charging_unit: Millis,
     seed: u64,
-) -> (RunResult, TelemetryBuffer) {
+) -> (RunResult, TelemetryBuffer, ObsSnapshot) {
     let (wf, prof) = workload.generate(seed);
     let cfg = cloud_config_for(setting, charging_unit, workload.spec().total_input_bytes);
     let handle = TelemetryHandle::new();
+    let obs = StreamingRecorder::with_config(ObsConfig::per_interval(cfg.mape_interval));
     let policy: Box<dyn ScalingPolicy + Send> = match setting {
-        Setting::Wire => Box::new(WirePolicy::default().with_telemetry(handle.clone())),
+        Setting::Wire => Box::new(
+            WirePolicy::default()
+                .with_telemetry(handle.clone())
+                .with_obs(obs.clone()),
+        ),
         other => build_policy(other, &cfg),
     };
     let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
         .seed(seed)
-        .recording(handle.clone())
+        .recording(Tee(handle.clone(), obs.clone()))
         .submit(&wf, &prof)
         .run()
         .unwrap_or_else(|e| {
@@ -226,7 +233,7 @@ pub fn run_setting_telemetry(
                 charging_unit
             )
         });
-    (result, handle.take())
+    (result, handle.take(), obs.snapshot())
 }
 
 /// One grid cell: a (workload, setting, charging-unit) combination and its
@@ -375,6 +382,7 @@ pub fn headline(results: &[GridResult]) -> Option<Headline> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use wire_telemetry::TelemetryEvent;
 
     /// TPCH-6 S under full-site and wire at u = 15 min, two repetitions
     /// from `base_seed`: the smallest grid `headline` and the CSV path accept.
@@ -464,13 +472,23 @@ pub(crate) mod tests {
     #[test]
     fn telemetry_run_journals_every_tick_and_changes_nothing() {
         let u = Millis::from_mins(15);
-        let (r, buffer) = run_setting_telemetry(WorkloadId::Tpch6S, Setting::Wire, u, 1);
+        let (r, buffer, snap) = run_setting_telemetry(WorkloadId::Tpch6S, Setting::Wire, u, 1);
         assert_eq!(r.task_records.len(), 33);
         assert!(!buffer.events.is_empty());
-        // one decision journal entry and one metrics row per MAPE tick
+        // one decision journal entry and one MapeTick event per MAPE tick
         assert_eq!(buffer.decisions.len() as u64, r.mape_iterations);
-        assert_eq!(buffer.ticks.len() as u64, r.mape_iterations);
-        assert!(!buffer.quality.samples().is_empty());
+        let ticks = buffer
+            .events
+            .iter()
+            .filter(|(_, ev)| matches!(ev, TelemetryEvent::MapeTick { .. }))
+            .count();
+        assert_eq!(ticks as u64, r.mape_iterations);
+        assert_eq!(snap.counter("mape_tick"), r.mape_iterations);
+        // predictions were joined against completions, never more than once
+        // per completed task
+        let joins = snap.health.pred_abs_err_ms.count;
+        assert!(joins > 0 && joins <= snap.counter("task_completed"));
+        assert_eq!(snap.windows.evicted_windows, 0);
         // recording must not perturb the simulation
         let plain = run_setting(WorkloadId::Tpch6S, Setting::Wire, u, 1);
         assert_eq!(plain.makespan, r.makespan);

@@ -44,6 +44,18 @@ impl Default for ObsConfig {
     }
 }
 
+impl ObsConfig {
+    /// One window per `interval` (a run's MAPE interval) and no eviction, so
+    /// every window of one run survives into the snapshot.
+    pub fn per_interval(interval: Millis) -> Self {
+        ObsConfig {
+            window_ms: interval.as_ms(),
+            window_capacity: usize::MAX,
+            ..ObsConfig::default()
+        }
+    }
+}
+
 /// Hash for dense `u32` task ids: one multiply by the 64-bit golden ratio.
 /// An odd multiplier permutes the low bits the table indexes by and mixes
 /// the high bits it tags with; SipHash's DoS resistance buys nothing for
@@ -197,7 +209,7 @@ pub struct ObsState {
     /// Workflow slot → first global task index, for completion-time removal.
     by_slot: BTreeMap<u32, u64>,
     next_first_task: u64,
-    /// Outstanding predictions awaiting their task's actual runtime. Only
+    /// Outstanding predictions awaiting their task's observed occupancy. Only
     /// inserted into, removed from and counted, never iterated, so the
     /// hasher cannot reach any output.
     pending_pred: HashMap<u32, u64, BuildHasherDefault<TaskIdHasher>>,
@@ -291,7 +303,9 @@ impl ObsState {
                     w.busy_ms += exec_ms;
                 }
                 if let Some(pred) = self.pending_pred.remove(&task) {
-                    let actual = exec_ms.max(1);
+                    // the controller predicts slot occupancy (§III-C:
+                    // execution plus transfer), so join against the same
+                    let actual = (exec + transfer).as_ms().max(1);
                     let abs = pred.abs_diff(actual);
                     let rel_milli = abs.saturating_mul(1000) / actual;
                     self.health.pred_abs_err_ms.observe(abs as f64);
@@ -658,6 +672,67 @@ mod tests {
         assert_eq!(snap.health.pred_rel_milli.max, 1000.0);
         assert!(st.pending_pred.is_empty());
         assert_eq!(st.peak_pending, 1);
+
+        // the prediction is of occupancy, so the transfer counts: 600 ms
+        // predicted against 400 exec + 200 transfer is a perfect estimate
+        st.note_plan_tick(&[(8, 600)], 0, 0);
+        st.record(
+            Millis::from_ms(20),
+            &TelemetryEvent::TaskCompleted {
+                task: 8,
+                stage: 0,
+                instance: 0,
+                slot: 1,
+                exec: Millis::from_ms(400),
+                transfer: Millis::from_ms(200),
+                restarts: 0,
+            },
+        );
+        let snap = st.snapshot();
+        assert_eq!(snap.health.pred_abs_err_ms.count, 2);
+        assert_eq!(snap.health.pred_abs_err_ms.min, 0.0);
+        assert_eq!(snap.health.pred_rel_milli.min, 0.0);
+        assert_eq!(snap.windows.live[0].1.pred_abs_err_ms_sum, 400);
+    }
+
+    fn completed(task: u32, exec_ms: u64) -> TelemetryEvent {
+        TelemetryEvent::TaskCompleted {
+            task,
+            stage: 0,
+            instance: 0,
+            slot: 0,
+            exec: Millis::from_ms(exec_ms),
+            transfer: Millis::ZERO,
+            restarts: 0,
+        }
+    }
+
+    #[test]
+    fn completions_without_a_prediction_are_not_joined() {
+        let mut st = ObsState::new(ObsConfig::default());
+        // completed before any planning tick predicted it
+        st.record(Millis::from_ms(5), &completed(3, 100));
+        st.note_plan_tick(&[(4, 100)], 0, 0);
+        let snap = st.snapshot();
+        assert_eq!(snap.health.pred_abs_err_ms.count, 0);
+        assert_eq!(snap.windows.live[0].1.pred_n, 0);
+        assert_eq!(snap.windows.live[0].1.tasks_completed, 1);
+        // task 4's prediction waits for its completion
+        assert_eq!(st.pending_pred.len(), 1);
+    }
+
+    #[test]
+    fn zero_occupancy_join_stays_finite() {
+        let mut st = ObsState::new(ObsConfig::default());
+        st.note_plan_tick(&[(0, 5), (1, 0)], 0, 0);
+        st.record(Millis::from_ms(1), &completed(0, 0));
+        st.record(Millis::from_ms(2), &completed(1, 0));
+        let snap = st.snapshot();
+        // a zero occupancy counts as 1 ms: |5-1| = 4 abs, 4000 milli rel;
+        // a zero prediction of it is 1 ms off, 1000 milli rel
+        assert_eq!(snap.health.pred_abs_err_ms.max, 4.0);
+        assert_eq!(snap.health.pred_rel_milli.max, 4000.0);
+        assert_eq!(snap.health.pred_rel_milli.min, 1000.0);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::deadline::{projected_finish, RELAXED_FILL, URGENT_FILL};
 use crate::steering::SteeringConfig;
 use crate::wire_policy::WirePolicy;
 use wire_dag::Millis;
+use wire_obs::StreamingRecorder;
 use wire_simcloud::{MonitorSnapshot, PoolPlan, ScalingPolicy};
 use wire_telemetry::TelemetryHandle;
 
@@ -123,6 +124,11 @@ impl GrowAheadWirePolicy {
 
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.inner = self.inner.with_telemetry(telemetry);
+        self
+    }
+
+    pub fn with_obs(mut self, sink: StreamingRecorder) -> Self {
+        self.inner = self.inner.with_obs(sink);
         self
     }
 

@@ -80,8 +80,7 @@ pub struct WirePolicy {
     /// Per-policy prediction counters, for the §IV-E efficiency analysis.
     policy_uses: [u64; 5],
     /// Optional journal: when attached, every Plan step pushes a
-    /// [`wire_telemetry::DecisionRecord`] and registers its occupancy
-    /// predictions for the quality join.
+    /// [`wire_telemetry::DecisionRecord`].
     telemetry: Option<TelemetryHandle>,
     /// Reused observation buffers (Monitor phase) — cleared, not
     /// reallocated, each tick.
@@ -165,8 +164,8 @@ impl WirePolicy {
     }
 
     /// Attach a telemetry handle (usually a clone of the one given to the
-    /// engine as its recorder): decisions and predictions are journaled into
-    /// the shared buffer on every MAPE tick.
+    /// engine as its recorder): every MAPE tick's Plan decision is journaled
+    /// into the shared buffer. Predictions go to [`Self::with_obs`].
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -311,11 +310,6 @@ impl WirePolicy {
             PolicyKind::OnlineGradientDescent => 4,
         }
     }
-
-    /// The paper's 1-based policy number, as used in the telemetry journal.
-    fn policy_code(kind: PolicyKind) -> u8 {
-        Self::policy_index(kind) as u8 + 1
-    }
 }
 
 impl ScalingPolicy for WirePolicy {
@@ -448,15 +442,6 @@ impl ScalingPolicy for WirePolicy {
             self.remaining[i] = remaining;
             self.values[i] = value;
             uses[Self::policy_index(policy)] += 1;
-            if let Some(tel) = &journal {
-                tel.note_prediction(
-                    task.0,
-                    stage.0,
-                    Self::policy_code(policy),
-                    snapshot.now,
-                    value,
-                );
-            }
             if self.obs_sink.is_some() {
                 self.pred_buf.push((task.0, value.as_ms()));
             }

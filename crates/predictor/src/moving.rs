@@ -157,6 +157,11 @@ impl IntervalMedian {
     pub fn num_observations(&self) -> usize {
         self.intervals.iter().map(Vec::len).sum()
     }
+
+    /// Approximate state size in bytes: every retained observation.
+    pub fn state_bytes(&self) -> usize {
+        self.num_observations() * std::mem::size_of::<Millis>()
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::estimators::Estimator;
 use crate::median::MedianAcc;
 use crate::moving::IntervalMedian;
 use crate::ogd::{OgdModel, TrainPoint};
-use wire_dag::{Millis, TaskId};
+use wire_dag::Millis;
 
 /// Intervals of running-age observations retained for the Policy-2 moving
 /// median (§III-C design goal 2: combine short- and long-term information to
@@ -335,7 +335,10 @@ impl StageState {
                 .iter()
                 .map(SizeGroup::state_bytes)
                 .sum::<usize>()
-            + self.running_count * std::mem::size_of::<(TaskId, Millis)>()
+            + self
+                .age_history
+                .as_ref()
+                .map_or(0, IntervalMedian::state_bytes)
     }
 }
 
@@ -399,6 +402,20 @@ mod tests {
             s.record_completion(1_000 + i * 2_000, Millis::from_secs(1));
         }
         assert!(s.state_bytes() > before);
+
+        // the running-age window retains every age of its last
+        // RUNNING_AGE_WINDOW intervals, not just the current interval's
+        let ages = |n: u64| (0..n).map(Millis::from_secs).collect::<Vec<_>>();
+        s.set_running(ages(100));
+        let one_interval = s.state_bytes();
+        for _ in 1..RUNNING_AGE_WINDOW {
+            s.set_running(ages(100));
+        }
+        let retained = (RUNNING_AGE_WINDOW - 1) * 100 * std::mem::size_of::<Millis>();
+        assert!(s.state_bytes() >= one_interval + retained);
+        // nothing runs now, but the window still holds the older ages
+        s.set_running(vec![]);
+        assert!(s.state_bytes() >= one_interval + retained - 100 * std::mem::size_of::<Millis>());
     }
 
     #[test]

@@ -8,6 +8,18 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use wire_dag::Millis;
 
+/// Names for the §III-C prediction-policy codes (1-indexed as in the paper).
+pub fn policy_name(code: u8) -> &'static str {
+    match code {
+        1 => "no-observation",
+        2 => "running-median",
+        3 => "completed-median",
+        4 => "group-median",
+        5 => "ogd",
+        _ => "unknown",
+    }
+}
+
 /// What the Plan step decided for the pool as a whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DecisionAction {
@@ -352,5 +364,11 @@ mod tests {
         assert_eq!(DecisionAction::Grow { launch: 1 }.kind(), "grow");
         assert_eq!(DecisionAction::Hold.kind(), "hold");
         assert_eq!(DecisionAction::HoldEmptyQueue.kind(), "hold_empty_queue");
+    }
+
+    #[test]
+    fn policy_names() {
+        assert_eq!(policy_name(4), "group-median");
+        assert_eq!(policy_name(9), "unknown");
     }
 }

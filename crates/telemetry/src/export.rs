@@ -1,15 +1,13 @@
-//! Exporters: JSONL event stream, Chrome `trace_event` JSON (loadable in
-//! Perfetto / `chrome://tracing`), per-tick metrics CSV, and the
-//! human-readable decision log.
+//! Exporters of the raw recording: JSONL event stream, Chrome
+//! `trace_event` JSON (loadable in Perfetto / `chrome://tracing`) and the
+//! decision journal as JSONL. The aggregate views (per-window metrics CSV,
+//! the human decision log with its prediction-quality footer) read a
+//! `wire-obs` snapshot and live there.
 
 use crate::event::TelemetryEvent;
 use crate::json::{self, obj, s, u, Json};
-use crate::quality::policy_name;
 use crate::recorder::TelemetryBuffer;
 use std::collections::{BTreeSet, HashMap};
-use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 use wire_dag::Millis;
 
 /// Render the event stream as JSONL: one `{"at_ms":…,"kind":…,…}` per line.
@@ -219,45 +217,6 @@ pub fn chrome_trace(buffer: &TelemetryBuffer, slots_per_instance: u32) -> String
     .render()
 }
 
-fn csv_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.007_199_254_740_992e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.6}")
-    }
-}
-
-/// Per-tick metrics timeseries as CSV. Columns are the union of every metric
-/// seen across the run (counters appear once first incremented; earlier rows
-/// leave the cell empty).
-pub fn metrics_csv(buffer: &TelemetryBuffer) -> String {
-    let mut names: BTreeSet<&str> = BTreeSet::new();
-    for row in &buffer.ticks {
-        for (name, _) in &row.values {
-            names.insert(name);
-        }
-    }
-    let names: Vec<&str> = names.into_iter().collect();
-    let mut out = String::from("tick,at_ms");
-    for n in &names {
-        out.push(',');
-        out.push_str(n);
-    }
-    out.push('\n');
-    for row in &buffer.ticks {
-        let _ = write!(out, "{},{}", row.tick, row.at.as_ms());
-        let lookup: HashMap<&str, f64> = row.values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        for n in &names {
-            out.push(',');
-            if let Some(v) = lookup.get(n) {
-                out.push_str(&csv_value(*v));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// The MAPE decision journal as JSONL.
 pub fn decisions_to_jsonl(buffer: &TelemetryBuffer) -> String {
     let mut out = String::new();
@@ -266,68 +225,6 @@ pub fn decisions_to_jsonl(buffer: &TelemetryBuffer) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Human-readable decision log: one block per Plan step plus a prediction
-/// quality footer.
-pub fn decision_log(buffer: &TelemetryBuffer) -> String {
-    let mut out = String::new();
-    out.push_str("# WIRE MAPE decision journal\n");
-    out.push_str("# one block per Plan step; Algorithm 2/3 inputs inline\n\n");
-    for d in &buffer.decisions {
-        out.push_str(&d.render_human());
-    }
-    let q = buffer.quality.summary();
-    let _ = write!(
-        out,
-        "\n# prediction quality: n={} mae={:.1}s p50_rel={:.3} p90_rel={:.3}\n",
-        q.n,
-        q.mae_ms / 1000.0,
-        q.p50_rel,
-        q.p90_rel,
-    );
-    for (policy, sum) in buffer.quality.summary_by_policy() {
-        let _ = writeln!(
-            out,
-            "#   policy {} ({}): n={} mae={:.1}s p50_rel={:.3}",
-            policy,
-            policy_name(policy),
-            sum.n,
-            sum.mae_ms / 1000.0,
-            sum.p50_rel,
-        );
-    }
-    out
-}
-
-/// Write the full exporter set under `dir` with filenames `<stem>.*`:
-/// `events.jsonl`, `trace.json`, `metrics.csv`, `decisions.log`,
-/// `decisions.jsonl`. Creates `dir` if needed.
-pub fn write_all(
-    dir: &Path,
-    stem: &str,
-    buffer: &TelemetryBuffer,
-    slots_per_instance: u32,
-) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(
-        dir.join(format!("{stem}.events.jsonl")),
-        events_to_jsonl(buffer),
-    )?;
-    std::fs::write(
-        dir.join(format!("{stem}.trace.json")),
-        chrome_trace(buffer, slots_per_instance),
-    )?;
-    std::fs::write(dir.join(format!("{stem}.metrics.csv")), metrics_csv(buffer))?;
-    std::fs::write(
-        dir.join(format!("{stem}.decisions.log")),
-        decision_log(buffer),
-    )?;
-    std::fs::write(
-        dir.join(format!("{stem}.decisions.jsonl")),
-        decisions_to_jsonl(buffer),
-    )?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -456,30 +353,5 @@ mod tests {
             e.get("name").and_then(Json::as_str) == Some("thread_name")
                 && e.get("args").unwrap().get("name").and_then(Json::as_str) == Some("i0/s1")
         }));
-    }
-
-    #[test]
-    fn metrics_csv_has_header_and_rows() {
-        let buffer = sample_buffer();
-        let csv = metrics_csv(&buffer);
-        let mut lines = csv.lines();
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("tick,at_ms,"));
-        assert!(header.contains("tasks_completed_total"));
-        assert!(header.contains("pred_mae_ms"));
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("0,300000,"));
-        assert_eq!(
-            header.split(',').count(),
-            row.split(',').count(),
-            "row width matches header"
-        );
-    }
-
-    #[test]
-    fn decision_log_includes_quality_footer() {
-        let buffer = sample_buffer();
-        let log = decision_log(&buffer);
-        assert!(log.contains("prediction quality"));
     }
 }

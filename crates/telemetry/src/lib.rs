@@ -1,12 +1,13 @@
 //! Telemetry substrate for the WIRE reproduction.
 //!
-//! The simulator is only as trustworthy as its observability: this crate
-//! provides the [`Recorder`] hook the engine calls at every event and MAPE
-//! tick, the structured [decision journal](decision) explaining each Plan
-//! step in Algorithm 2/3 terms, the online [prediction-quality
-//! tracker](quality), a dependency-free [metrics registry](metrics), and
-//! [exporters](export) (JSONL events, Chrome `trace_event` JSON for
-//! Perfetto, per-tick CSV, human-readable decision log).
+//! This crate provides the [`Recorder`] hook the engine calls at every event
+//! and MAPE tick, the [`Tee`] combinator that fans one event stream out to
+//! two recorders, the raw event and [decision journal](decision) sink
+//! ([`TelemetryHandle`]) explaining each Plan step in Algorithm 2/3 terms,
+//! the mergeable [`Histogram`] sketch, and [exporters](export) for the raw
+//! stream (JSONL events, Chrome `trace_event` JSON for Perfetto, the decision
+//! journal as JSONL). Aggregated metrics and the prediction-quality join
+//! live in `wire-obs`'s streaming recorder, the only metrics path.
 //!
 //! The crate sits *below* `wire-simcloud` in the dependency graph (it
 //! depends only on `wire-dag`), so events carry raw `u32` ids. Recording is
@@ -16,15 +17,13 @@
 pub mod decision;
 pub mod event;
 pub mod export;
+pub mod histogram;
 pub mod json;
-pub mod metrics;
-pub mod quality;
 pub mod recorder;
 
 pub use decision::{
-    BudgetStamp, DecisionAction, DecisionRecord, InstanceJudgement, JudgementOutcome,
+    policy_name, BudgetStamp, DecisionAction, DecisionRecord, InstanceJudgement, JudgementOutcome,
 };
 pub use event::TelemetryEvent;
-pub use metrics::{Histogram, MetricsRegistry};
-pub use quality::{policy_name, PredictionSample, PredictionTracker, QualitySummary};
-pub use recorder::{NoopRecorder, Recorder, TelemetryBuffer, TelemetryHandle, TickRow, TickStats};
+pub use histogram::Histogram;
+pub use recorder::{NoopRecorder, Recorder, Tee, TelemetryBuffer, TelemetryHandle, TickStats};

@@ -1,6 +1,7 @@
 //! The [`Recorder`] hook the simulator calls at every event and MAPE tick,
-//! plus the shared in-memory sink ([`TelemetryHandle`]) that both the engine
-//! and the WIRE controller write into.
+//! the [`Tee`] combinator, and the shared in-memory sink
+//! ([`TelemetryHandle`]) that keeps the raw event stream and the WIRE
+//! controller's decision journal.
 //!
 //! The engine is generic over `R: Recorder` with [`NoopRecorder`] as the
 //! default, and every call site is guarded by `recorder.enabled()`. For the
@@ -10,8 +11,6 @@
 
 use crate::decision::DecisionRecord;
 use crate::event::TelemetryEvent;
-use crate::metrics::MetricsRegistry;
-use crate::quality::PredictionTracker;
 use std::sync::{Arc, Mutex};
 use wire_dag::Millis;
 
@@ -59,136 +58,25 @@ impl Recorder for NoopRecorder {
     fn tick(&mut self, _at: Millis, _stats: TickStats) {}
 }
 
-/// One row of the per-tick metrics timeseries: the registry snapshot taken
-/// when the tick completed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TickRow {
-    pub tick: u32,
-    pub at: Millis,
-    /// Sorted `(metric, value)` pairs from [`MetricsRegistry::snapshot`].
-    pub values: Vec<(String, f64)>,
-}
-
-/// Everything captured during one run.
+/// Everything captured during one run: the raw material of the exporters
+/// and the golden digests. Aggregates are `wire-obs`'s job.
 #[derive(Debug, Default)]
 pub struct TelemetryBuffer {
     /// The raw timestamped event stream, in emission order.
     pub events: Vec<(Millis, TelemetryEvent)>,
-    /// Counters/gauges/histograms, updated on every event.
-    pub metrics: MetricsRegistry,
     /// The MAPE decision journal (written by the controller).
     pub decisions: Vec<DecisionRecord>,
-    /// Predicted-vs-actual occupancy join.
-    pub quality: PredictionTracker,
-    /// Per-tick metric snapshots.
-    pub ticks: Vec<TickRow>,
 }
 
 impl TelemetryBuffer {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn apply(&mut self, at: Millis, event: TelemetryEvent) {
-        self.events.push((at, event));
-        let m = &mut self.metrics;
-        match event {
-            TelemetryEvent::RunSetupDone | TelemetryEvent::WorkflowDone => {}
-            TelemetryEvent::WorkflowSubmitted { .. } => m.inc("workflows_submitted_total", 1),
-            TelemetryEvent::WorkflowReady { .. } => m.inc("workflows_ready_total", 1),
-            TelemetryEvent::WorkflowCompleted { .. } => m.inc("workflows_completed_total", 1),
-            TelemetryEvent::InstanceRequested { .. } => m.inc("instances_requested_total", 1),
-            TelemetryEvent::InstanceReady { .. } => m.inc("instances_ready_total", 1),
-            TelemetryEvent::InstanceDraining { .. } => m.inc("instances_draining_total", 1),
-            TelemetryEvent::InstanceTerminated { units, .. } => {
-                m.inc("instances_terminated_total", 1);
-                m.inc("units_billed_total", units);
-            }
-            TelemetryEvent::InstanceFailed { .. } => m.inc("instance_failures_total", 1),
-            TelemetryEvent::ChaosFault { .. } => m.inc("chaos_faults_total", 1),
-            TelemetryEvent::TaskDispatched { .. } => m.inc("tasks_dispatched_total", 1),
-            TelemetryEvent::TaskCompleted { exec, transfer, .. } => {
-                m.inc("tasks_completed_total", 1);
-                m.observe("task_exec_ms", exec.as_ms() as f64);
-                m.observe("task_transfer_ms", transfer.as_ms() as f64);
-            }
-            TelemetryEvent::TaskResubmitted { sunk, .. } => {
-                m.inc("tasks_resubmitted_total", 1);
-                m.observe("task_sunk_ms", sunk.as_ms() as f64);
-            }
-            TelemetryEvent::MapeTick {
-                pool,
-                launching,
-                draining,
-                ready,
-                running,
-                done,
-                plan_launch,
-                plan_terminate,
-            } => {
-                m.inc("mape_ticks_total", 1);
-                m.inc("plan_launches_total", plan_launch as u64);
-                m.inc("plan_terminations_total", plan_terminate as u64);
-                m.set_gauge("pool", pool as f64);
-                m.set_gauge("launching", launching as f64);
-                m.set_gauge("draining", draining as f64);
-                m.set_gauge("tasks_ready", ready as f64);
-                m.set_gauge("tasks_running", running as f64);
-                m.set_gauge("tasks_done", done as f64);
-            }
-            TelemetryEvent::InstanceFamilyAssigned { .. } => {
-                m.inc("instance_family_assignments_total", 1)
-            }
-            TelemetryEvent::SpotEvicted { .. } => m.inc("spot_evictions_total", 1),
-            TelemetryEvent::BudgetVerdict {
-                spent_milli,
-                launch,
-                ..
-            } => {
-                m.inc("budget_verdicts_total", 1);
-                m.inc("budget_allowed_launches_total", launch as u64);
-                m.set_gauge("budget_spent_milli", spent_milli as f64);
-            }
-            TelemetryEvent::TaskOom { peak_mb, .. } => {
-                m.inc("task_ooms_total", 1);
-                m.observe("task_oom_peak_mb", peak_mb as f64);
-            }
-        }
-        // Feed the prediction join: completions carry the ground truth.
-        if let TelemetryEvent::TaskCompleted {
-            task,
-            exec,
-            transfer,
-            ..
-        } = event
-        {
-            if let Some(sample) = self.quality.note_actual(task, at, exec + transfer) {
-                self.metrics
-                    .observe("pred_abs_err_ms", sample.abs_error().as_ms() as f64);
-            }
-        }
-    }
-
-    fn complete_tick(&mut self, at: Millis, stats: TickStats) {
-        self.metrics
-            .observe("controller_micros", stats.controller_micros as f64);
-        let q = self.quality.summary();
-        self.metrics.set_gauge("pred_n", q.n as f64);
-        self.metrics.set_gauge("pred_mae_ms", q.mae_ms);
-        self.metrics.set_gauge("pred_p50_rel", q.p50_rel);
-        self.metrics.set_gauge("pred_p90_rel", q.p90_rel);
-        let tick = self.ticks.len() as u32;
-        self.ticks.push(TickRow {
-            tick,
-            at,
-            values: self.metrics.snapshot(),
-        });
-    }
 }
 
 /// Cloneable handle to a shared [`TelemetryBuffer`]. One clone goes into the
 /// engine (as its [`Recorder`]); another into the WIRE controller, which
-/// journals decisions and predictions directly.
+/// journals its decisions directly.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryHandle(Arc<Mutex<TelemetryBuffer>>);
 
@@ -206,20 +94,6 @@ impl TelemetryHandle {
         self.lock().decisions.push(record);
     }
 
-    /// Register a predicted occupancy for a task (controller side).
-    pub fn note_prediction(
-        &self,
-        task: u32,
-        stage: u32,
-        policy: u8,
-        at: Millis,
-        predicted: Millis,
-    ) {
-        self.lock()
-            .quality
-            .note_prediction(task, stage, policy, at, predicted);
-    }
-
     /// Read access to the buffer (exporters, assertions).
     pub fn with<R>(&self, f: impl FnOnce(&TelemetryBuffer) -> R) -> R {
         f(&self.lock())
@@ -234,12 +108,12 @@ impl TelemetryHandle {
 
 impl Recorder for TelemetryHandle {
     fn record(&mut self, at: Millis, event: TelemetryEvent) {
-        self.lock().apply(at, event);
+        self.lock().events.push((at, event));
     }
 
-    fn tick(&mut self, at: Millis, stats: TickStats) {
-        self.lock().complete_tick(at, stats);
-    }
+    /// The tick itself is already in the stream as a
+    /// [`TelemetryEvent::MapeTick`]; its wall-clock stats are `wire-obs`'s.
+    fn tick(&mut self, _at: Millis, _stats: TickStats) {}
 }
 
 /// `&mut R` forwards, so the engine can borrow a recorder it doesn't own.
@@ -257,6 +131,35 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 }
 
+/// Fan one event stream out to two recorders (the raw buffer and a
+/// streaming recorder, say). Nest it for more: `Tee(a, Tee(b, c))`.
+#[derive(Debug, Clone, Default)]
+pub struct Tee<A, B>(pub A, pub B);
+
+impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
+    fn enabled(&self) -> bool {
+        self.0.enabled() || self.1.enabled()
+    }
+
+    fn record(&mut self, at: Millis, event: TelemetryEvent) {
+        if self.0.enabled() {
+            self.0.record(at, event);
+        }
+        if self.1.enabled() {
+            self.1.record(at, event);
+        }
+    }
+
+    fn tick(&mut self, at: Millis, stats: TickStats) {
+        if self.0.enabled() {
+            self.0.tick(at, stats);
+        }
+        if self.1.enabled() {
+            self.1.tick(at, stats);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn buffer_accumulates_events_and_metrics() {
+    fn buffer_keeps_the_event_stream_in_order() {
         let mut h = TelemetryHandle::new();
         assert!(Recorder::enabled(&h));
         h.record(
@@ -281,65 +184,41 @@ mod tests {
             Millis::from_mins(1),
             TelemetryEvent::InstanceReady { instance: 0 },
         );
-        h.record(
-            Millis::from_mins(1),
-            TelemetryEvent::TaskDispatched {
-                task: 0,
-                stage: 0,
-                instance: 0,
-                slot: 0,
-            },
-        );
-        h.note_prediction(0, 0, 2, Millis::from_mins(1), Millis::from_mins(10));
-        h.record(
-            Millis::from_mins(9),
-            TelemetryEvent::TaskCompleted {
-                task: 0,
-                stage: 0,
-                instance: 0,
-                slot: 0,
-                exec: Millis::from_mins(8),
-                transfer: Millis::ZERO,
-                restarts: 0,
-            },
-        );
-        h.record(
-            Millis::from_mins(10),
-            TelemetryEvent::MapeTick {
-                pool: 1,
-                launching: 0,
-                draining: 0,
-                ready: 0,
-                running: 0,
-                done: 1,
-                plan_launch: 0,
-                plan_terminate: 0,
-            },
-        );
-        h.tick(
-            Millis::from_mins(10),
-            TickStats {
-                controller_micros: 42,
-                queue_depth: 3,
-            },
-        );
-
+        h.tick(Millis::from_mins(1), TickStats::default());
         h.with(|b| {
-            assert_eq!(b.events.len(), 5);
-            assert_eq!(b.metrics.counter("tasks_completed_total"), 1);
-            assert_eq!(b.metrics.counter("mape_ticks_total"), 1);
-            assert_eq!(b.quality.samples().len(), 1);
-            // predicted 10m vs actual 8m → MAE 120_000 ms
-            assert_eq!(b.metrics.gauge("pred_mae_ms"), Some(120_000.0));
-            assert_eq!(b.ticks.len(), 1);
-            assert!(b.ticks[0]
-                .values
-                .iter()
-                .any(|(k, v)| k == "pred_mae_ms" && *v == 120_000.0));
+            assert_eq!(
+                b.events,
+                vec![
+                    (
+                        Millis::ZERO,
+                        TelemetryEvent::InstanceRequested { instance: 0 }
+                    ),
+                    (
+                        Millis::from_mins(1),
+                        TelemetryEvent::InstanceReady { instance: 0 }
+                    ),
+                ]
+            );
         });
         let taken = h.take();
-        assert_eq!(taken.events.len(), 5);
+        assert_eq!(taken.events.len(), 2);
         h.with(|b| assert!(b.events.is_empty()));
+    }
+
+    #[test]
+    fn tee_feeds_both_recorders_and_skips_disabled_ones() {
+        let (a, b) = (TelemetryHandle::new(), TelemetryHandle::new());
+        let mut tee = Tee(a.clone(), b.clone());
+        assert!(tee.enabled());
+        tee.record(Millis::ZERO, TelemetryEvent::RunSetupDone);
+        tee.tick(Millis::ZERO, TickStats::default());
+        assert_eq!(a.take().events.len(), 1);
+        assert_eq!(b.take().events.len(), 1);
+        assert!(!Tee(NoopRecorder, NoopRecorder).enabled());
+        let mut half = Tee(NoopRecorder, a.clone());
+        assert!(half.enabled());
+        half.record(Millis::ZERO, TelemetryEvent::RunSetupDone);
+        assert_eq!(a.take().events.len(), 1);
     }
 
     #[test]

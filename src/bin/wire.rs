@@ -29,11 +29,12 @@
 //!                        per line (not a `wire replay` input)
 //!   --trace-chrome <p>   Chrome trace_event JSON (open in Perfetto)
 //!   --decisions <path>   human-readable MAPE decision journal
-//!   --metrics-csv <p>    per-tick metrics timeseries CSV
+//!   --metrics-csv <p>    per-MAPE-interval window rollups as CSV
 //! ```
 
 use std::process::ExitCode;
 use wire::core::experiment::{cloud_config_for, Setting, CHARGING_UNITS_MINS};
+use wire::obs::ObsConfig;
 use wire::planner::OracleWirePolicy;
 use wire::prelude::*;
 
@@ -62,12 +63,15 @@ struct Opts {
 }
 
 impl Opts {
-    /// Any flag that needs the telemetry recorder attached to the run.
+    /// Any flag that needs the raw event stream or decision journal.
     fn wants_telemetry(&self) -> bool {
-        self.trace_out.is_some()
-            || self.trace_chrome.is_some()
-            || self.decisions.is_some()
-            || self.metrics_csv.is_some()
+        self.trace_out.is_some() || self.trace_chrome.is_some() || self.decisions.is_some()
+    }
+
+    /// Any flag that reads the streaming recorder's snapshot (the metrics
+    /// CSV, the decision log's prediction-quality footer).
+    fn wants_obs(&self) -> bool {
+        self.metrics_csv.is_some() || self.decisions.is_some()
     }
 }
 
@@ -225,6 +229,9 @@ fn run_one(
     let slots = cfg.slots_per_instance;
     let tm = TransferModel::default();
     let telemetry = opts.wants_telemetry().then(TelemetryHandle::new);
+    let obs = opts
+        .wants_obs()
+        .then(|| StreamingRecorder::with_config(ObsConfig::per_interval(cfg.mape_interval)));
     // the oracle is a CLI-only extra; everything else uses the shared mapping
     let policy: Box<dyn ScalingPolicy> = if opts.policy == "oracle" {
         Box::new(OracleWirePolicy::new(prof.clone(), tm.clone()))
@@ -233,21 +240,27 @@ fn run_one(
             if opts.spot_floor.is_some() {
                 return Err("--deadline and --spot cannot be combined".into());
             }
-            let p = wire::planner::GrowAheadWirePolicy::new(Millis::from_mins(mins));
-            match &telemetry {
-                Some(h) => Box::new(p.with_telemetry(h.clone())),
-                None => Box::new(p),
+            let mut p = wire::planner::GrowAheadWirePolicy::new(Millis::from_mins(mins));
+            if let Some(h) = &telemetry {
+                p = p.with_telemetry(h.clone());
             }
+            if let Some(o) = &obs {
+                p = p.with_obs(o.clone());
+            }
+            Box::new(p)
         } else {
             let mut p = WirePolicy::default();
             if let Some(floor) = opts.spot_floor {
                 p = p.with_family_steering(floor);
             }
-            // attach the journal so Plan decisions and predictions are recorded
-            match &telemetry {
-                Some(h) => Box::new(p.with_telemetry(h.clone())),
-                None => Box::new(p),
+            // the journal records Plan decisions; obs joins predictions
+            if let Some(h) = &telemetry {
+                p = p.with_telemetry(h.clone());
             }
+            if let Some(o) = &obs {
+                p = p.with_obs(o.clone());
+            }
+            Box::new(p)
         }
     } else {
         wire::core::experiment::build_policy(setting, &cfg)
@@ -258,12 +271,18 @@ fn run_one(
         .policy(policy)
         .seed(opts.seed)
         .submit(wf, prof);
-    let result = match &telemetry {
-        Some(handle) => session.recording(handle.clone()).run(),
-        None => session.run(),
+    let result = match (&telemetry, &obs) {
+        (Some(h), Some(o)) => session.recording(Tee(h.clone(), o.clone())).run(),
+        (Some(h), None) => session.recording(h.clone()).run(),
+        (None, Some(o)) => session.recording(o.clone()).run(),
+        (None, None) => session.run(),
     }
     .map_err(|e| e.to_string())?;
 
+    let snapshot = obs.map(|o| o.snapshot());
+    if let (Some(path), Some(snapshot)) = (&opts.metrics_csv, &snapshot) {
+        std::fs::write(path, metrics_csv(snapshot)).map_err(|e| format!("write {path}: {e}"))?;
+    }
     if let Some(handle) = &telemetry {
         let buffer = handle.take();
         if let Some(path) = &opts.trace_out {
@@ -272,15 +291,11 @@ fn run_one(
             println!("[event stream: {path}]");
         }
         if let Some(path) = &opts.trace_chrome {
-            std::fs::write(path, wire::telemetry::export::chrome_trace(&buffer, slots))
+            std::fs::write(path, chrome_trace(&buffer, slots))
                 .map_err(|e| format!("write {path}: {e}"))?;
         }
-        if let Some(path) = &opts.decisions {
-            std::fs::write(path, wire::telemetry::export::decision_log(&buffer))
-                .map_err(|e| format!("write {path}: {e}"))?;
-        }
-        if let Some(path) = &opts.metrics_csv {
-            std::fs::write(path, wire::telemetry::export::metrics_csv(&buffer))
+        if let (Some(path), Some(snapshot)) = (&opts.decisions, &snapshot) {
+            std::fs::write(path, decision_log(&buffer, snapshot))
                 .map_err(|e| format!("write {path}: {e}"))?;
         }
     }

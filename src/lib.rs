@@ -14,11 +14,12 @@
 //! * [`workloads`] — Table I workload generators and ensemble arrival
 //!   processes ([`wire_workloads`]);
 //! * [`core`] — experiment harness, statistics, reports ([`wire_core`]);
-//! * [`telemetry`] — decision journal, prediction-quality metrics and trace
-//!   exporters ([`wire_telemetry`]);
-//! * [`obs`] — bounded-memory streaming observability: mergeable sketches,
-//!   per-tenant/windowed rollups, run-health metrics and the `wire report`
-//!   snapshot format ([`wire_obs`]).
+//! * [`telemetry`] — recorder hooks, the raw event stream and decision
+//!   journal, and trace exporters ([`wire_telemetry`]);
+//! * [`obs`] — bounded-memory streaming observability, the one metrics
+//!   path: mergeable sketches, per-tenant/windowed rollups, the prediction
+//!   join, run-health metrics and the `wire report` snapshot format
+//!   ([`wire_obs`]).
 //!
 //! # Quickstart
 //!
@@ -59,6 +60,7 @@ pub mod prelude {
     pub use wire_dag::{
         ExecProfile, Millis, StageId, TaskId, Workflow, WorkflowBuilder, WorkflowId,
     };
+    pub use wire_obs::export::{decision_log, metrics_csv};
     pub use wire_obs::{render_report, ObsSnapshot, StreamingRecorder};
     pub use wire_planner::{
         PureReactive, ReactiveConserving, StaticPolicy, SteeringConfig, WirePolicy,
@@ -68,9 +70,7 @@ pub mod prelude {
         PoolPlan, RankKind, RankScheduler, ReadyQueue, RunResult, ScalingPolicy, Scheduler,
         SchedulerSpec, Session, SpotSpec, TransferModel, WorkflowOutcome, WorkflowSlot,
     };
-    pub use wire_telemetry::export::{
-        chrome_trace, decision_log, decisions_to_jsonl, events_to_jsonl, metrics_csv,
-    };
-    pub use wire_telemetry::{NoopRecorder, Recorder, TelemetryBuffer, TelemetryHandle};
+    pub use wire_telemetry::export::{chrome_trace, decisions_to_jsonl, events_to_jsonl};
+    pub use wire_telemetry::{NoopRecorder, Recorder, Tee, TelemetryBuffer, TelemetryHandle};
     pub use wire_workloads::{ArrivalProcess, EnsembleMember, EnsembleSpec, WorkloadId};
 }

@@ -10,7 +10,7 @@ use wire::core::experiment::{cloud_config_for, Setting};
 use wire::planner::OracleWirePolicy;
 use wire::prelude::*;
 use wire::simcloud::InstanceId;
-use wire_chaos::{FaultPlan, InvariantChecker, Tee};
+use wire_chaos::{FaultPlan, InvariantChecker};
 
 /// The golden run digest (`common::run_digest`) with an explicit (possibly
 /// empty) fault plan attached and the invariant checker teed into the same

@@ -12,7 +12,7 @@ mod common;
 use common::{run_digest, GOLDEN_DIGESTS};
 use wire::core::experiment::{build_policy, cloud_config_for, run_setting, Setting};
 use wire::prelude::*;
-use wire_chaos::{InvariantChecker, Tee};
+use wire_chaos::InvariantChecker;
 
 const GOLDEN: &[(WorkloadId, Setting, u64, u64, u64, u64)] = &[
     // (workload, setting, u_mins, seed, expected units, expected makespan_ms)

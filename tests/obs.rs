@@ -16,14 +16,14 @@ use wire::core::experiment::{cloud_config_for, run_ensemble_obs, Setting};
 use wire::obs::ObsConfig;
 use wire::prelude::*;
 use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
-use wire_chaos::{InvariantChecker, Tee};
+use wire_chaos::InvariantChecker;
 
 mod common;
 
 use common::{run_digest, GOLDEN_DIGESTS};
 
 /// Satellite: the streaming recorder rides through the chaos
-/// `InvariantChecker` via the existing `Tee` combinator without moving a
+/// `InvariantChecker` via the `Tee` combinator without moving a
 /// pinned golden digest, and its aggregates match the full buffer.
 #[test]
 fn streaming_recorder_composes_without_perturbing_golden_digest() {

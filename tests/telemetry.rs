@@ -1,9 +1,11 @@
 //! End-to-end telemetry tests: a full WIRE run must produce a loadable
 //! Chrome trace, a decision journal that explains every pool change, a
-//! round-trippable JSONL event stream, and a per-tick metrics timeseries.
+//! round-trippable JSONL event stream, and per-MAPE-interval metrics rows
+//! that reconcile with the run.
 
-use wire::core::experiment::{run_setting_telemetry, Setting};
+use wire::core::experiment::{cloud_config_for, run_setting_telemetry, Setting};
 use wire::dag::Millis;
+use wire::obs::ObsSnapshot;
 use wire::simcloud::RunResult;
 use wire::telemetry::json::Json;
 use wire::telemetry::{export, json, DecisionAction, TelemetryBuffer, TelemetryEvent};
@@ -11,7 +13,7 @@ use wire::workloads::WorkloadId;
 
 /// A run that both grows and releases instances (epigenomics fans out to
 /// hundreds of short tasks, then narrows).
-fn recorded() -> (RunResult, TelemetryBuffer) {
+fn recorded() -> (RunResult, TelemetryBuffer, ObsSnapshot) {
     run_setting_telemetry(
         WorkloadId::EpigenomicsS,
         Setting::Wire,
@@ -22,7 +24,7 @@ fn recorded() -> (RunResult, TelemetryBuffer) {
 
 #[test]
 fn chrome_trace_is_valid_and_tracks_are_well_formed() {
-    let (_, buffer) = recorded();
+    let (_, buffer, _) = recorded();
     let text = export::chrome_trace(&buffer, 4);
     let v = json::parse(&text).expect("chrome trace parses as JSON");
     let events = v
@@ -61,7 +63,7 @@ fn chrome_trace_is_valid_and_tracks_are_well_formed() {
 
 #[test]
 fn every_pool_change_has_a_journaled_reason() {
-    let (_, buffer) = recorded();
+    let (_, buffer, _) = recorded();
     assert!(!buffer.decisions.is_empty());
 
     // index the journal by tick timestamp
@@ -115,33 +117,87 @@ fn every_pool_change_has_a_journaled_reason() {
 
 #[test]
 fn event_stream_round_trips_through_jsonl() {
-    let (_, buffer) = recorded();
+    let (_, buffer, _) = recorded();
     let text = export::events_to_jsonl(&buffer);
     let back = export::parse_jsonl(&text).expect("jsonl parses");
     assert_eq!(back, buffer.events);
 }
 
 #[test]
-fn metrics_csv_carries_prediction_quality_per_tick() {
-    let (r, buffer) = recorded();
-    let csv = export::metrics_csv(&buffer);
+fn metrics_csv_rows_are_mape_intervals_that_reconcile_with_the_run() {
+    let (_, buffer, snap) = recorded();
+    let csv = wire::obs::export::metrics_csv(&snap);
     let mut lines = csv.lines();
-    let header = lines.next().expect("header");
-    assert!(header.starts_with("tick,at_ms,"));
-    for needle in [
-        "pred_mae_ms",
-        "pred_p90_rel",
-        "pool",
-        "tasks_completed_total",
-    ] {
-        assert!(header.contains(needle), "missing column {needle}");
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let col = |name: &str| {
+        header
+            .iter()
+            .position(|h| *h == name)
+            .unwrap_or_else(|| panic!("missing column {name}"))
+    };
+    let (window, start, tasks, pred_n, mae, p90) = (
+        col("window"),
+        col("start_ms"),
+        col("tasks_completed"),
+        col("pred_n"),
+        col("pred_mae_ms"),
+        col("pred_p90_rel"),
+    );
+    let interval = cloud_config_for(
+        Setting::Wire,
+        Millis::from_mins(15),
+        WorkloadId::EpigenomicsS.spec().total_input_bytes,
+    )
+    .mape_interval
+    .as_ms();
+
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    assert!(rows.len() > 1, "one window for the whole run");
+    let num = |row: &[&str], c: usize| -> u64 { row[c].parse().expect("integer cell") };
+    let (mut sum_tasks, mut sum_pred_n, mut last_window) = (0, 0, None);
+    for row in &rows {
+        assert_eq!(row.len(), header.len(), "row width matches header");
+        // one row per MAPE interval, ascending, none evicted
+        let w = num(row, window);
+        assert!(last_window < Some(w), "windows ascend");
+        last_window = Some(w);
+        assert_eq!(num(row, start), w * interval);
+        sum_tasks += num(row, tasks);
+        sum_pred_n += num(row, pred_n);
+        let p90_rel: f64 = row[p90].parse().expect("p90 is a number");
+        if num(row, pred_n) == 0 {
+            assert_eq!((num(row, mae), p90_rel), (0, 0.0));
+        } else {
+            assert!(p90_rel.is_finite() && p90_rel >= 0.0);
+        }
     }
-    assert_eq!(lines.count() as u64, r.mape_iterations);
+
+    // every completed task lands in exactly one window
+    let completed = buffer
+        .events
+        .iter()
+        .filter(|(_, ev)| matches!(ev, TelemetryEvent::TaskCompleted { .. }))
+        .count() as u64;
+    assert_eq!(sum_tasks, completed);
+
+    // the windows' joins are the joins the decision log's footer reports
+    let log = wire::obs::export::decision_log(&buffer, &snap);
+    let footer = log
+        .lines()
+        .find_map(|l| l.strip_prefix("# prediction quality: n="))
+        .expect("quality footer");
+    let footer_n: u64 = footer
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .expect("footer n");
+    assert!(footer_n > 0, "no prediction was joined");
+    assert_eq!(sum_pred_n, footer_n);
 }
 
 #[test]
 fn recording_does_not_change_the_simulation() {
-    let (recorded_run, _) = recorded();
+    let (recorded_run, _, _) = recorded();
     let plain = wire::core::experiment::run_setting(
         WorkloadId::EpigenomicsS,
         Setting::Wire,
@@ -151,4 +207,61 @@ fn recording_does_not_change_the_simulation() {
     assert_eq!(plain.makespan, recorded_run.makespan);
     assert_eq!(plain.charging_units, recorded_run.charging_units);
     assert_eq!(plain.restarts, recorded_run.restarts);
+}
+
+#[test]
+fn write_all_writes_every_exporter() {
+    let (_, buffer, snap) = recorded();
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry_write_all");
+    wire::obs::export::write_all(&dir, "run", &buffer, &snap, 4).expect("exporters write");
+    let read = |suffix: &str| std::fs::read_to_string(dir.join(format!("run.{suffix}"))).unwrap();
+    assert_eq!(read("events.jsonl"), export::events_to_jsonl(&buffer));
+    assert_eq!(read("trace.json"), export::chrome_trace(&buffer, 4));
+    assert_eq!(read("metrics.csv"), wire::obs::export::metrics_csv(&snap));
+    assert_eq!(
+        read("decisions.log"),
+        wire::obs::export::decision_log(&buffer, &snap)
+    );
+    assert_eq!(read("decisions.jsonl"), export::decisions_to_jsonl(&buffer));
+}
+
+/// `wire run --metrics-csv` needs only the streaming recorder; with
+/// `--decisions` the raw buffer rides beside it through a `Tee`, and the
+/// CSV comes out the same either way.
+#[test]
+fn wire_run_writes_window_rows_and_a_quality_footer() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry_cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let wire = |extra: &[String]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wire"))
+            .args(["run", "tpch6-s", "--u", "15"])
+            .args(extra)
+            .output()
+            .expect("wire runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    wire(&["--metrics-csv".into(), path("alone.csv")]);
+    wire(&[
+        "--metrics-csv".into(),
+        path("teed.csv"),
+        "--decisions".into(),
+        path("decisions.log"),
+    ]);
+    let csv = std::fs::read_to_string(path("alone.csv")).unwrap();
+    assert_eq!(csv, std::fs::read_to_string(path("teed.csv")).unwrap());
+    assert!(csv.starts_with(wire::obs::export::METRICS_CSV_HEADER));
+    let tasks: u64 = csv
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').nth(4).unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(tasks, WorkloadId::Tpch6S.spec().num_tasks() as u64);
+    let log = std::fs::read_to_string(path("decisions.log")).unwrap();
+    assert!(log.contains("# prediction quality: n="), "{log}");
+    assert!(!log.contains("# prediction quality: n=0 "), "{log}");
 }
