@@ -201,6 +201,107 @@ fn midrun_state(
     (wf, cfg, bufs, remaining, values)
 }
 
+/// Tasks per workflow and live tasks in [`streaming_state`].
+const STREAM_WF_TASKS: usize = 8;
+
+/// A streaming session's snapshot: `prefix` finished tasks spread over
+/// `prefix / 8` finished 8-task workflows, then one live 8-task workflow
+/// (four running on one instance, four queued while a second instance
+/// launches), with `done_prefix` at `prefix`. The live part is the same for
+/// every `prefix`, so a tick's cost should not grow with it.
+fn streaming_state(
+    prefix: usize,
+) -> (
+    wire_dag::Workflow,
+    wire_simcloud::CloudConfig,
+    wire_simcloud::SnapshotBuffers,
+    Vec<Millis>,
+    Vec<Millis>,
+) {
+    use wire_dag::{TaskId, WorkflowBuilder};
+    use wire_simcloud::{
+        CloudConfig, InstanceId, InstanceStateView, InstanceView, SnapshotBuffers, TaskView,
+    };
+
+    assert_eq!(prefix % STREAM_WF_TASKS, 0);
+    let mut b = WorkflowBuilder::new("stream");
+    let s = b.add_stage("s");
+    for _ in 0..STREAM_WF_TASKS {
+        b.add_task(s, 1_000, 1_000);
+    }
+    let wf = b.build().unwrap();
+    let cfg = CloudConfig::default();
+
+    let n = prefix + STREAM_WF_TASKS;
+    let mut tasks = vec![
+        TaskView::Done {
+            exec_time: Millis::from_secs(10),
+            transfer_time: Millis::from_secs(2),
+        };
+        prefix
+    ];
+    let running: Vec<TaskId> = (prefix as u32..prefix as u32 + 4).map(TaskId).collect();
+    let ready: Vec<TaskId> = (prefix as u32 + 4..n as u32).map(TaskId).collect();
+    // a long stream has launched many instances; only the last two are live
+    let (busy, launching) = (
+        InstanceId(prefix as u32 / 2),
+        InstanceId(prefix as u32 / 2 + 1),
+    );
+    tasks.extend(running.iter().map(|_| TaskView::Running {
+        instance: busy,
+        exec_age: Millis::from_secs(5),
+        occupied_for: Millis::from_secs(7),
+    }));
+    tasks.extend(ready.iter().map(|_| TaskView::Ready));
+    let instances = vec![
+        InstanceView {
+            id: busy,
+            state: InstanceStateView::Running {
+                charge_start: Millis::ZERO,
+            },
+            tasks: running,
+            free_slots: 0,
+            family: 0,
+        },
+        InstanceView {
+            id: launching,
+            state: InstanceStateView::Launching {
+                ready_at: Millis::from_mins(31),
+            },
+            tasks: vec![],
+            free_slots: 4,
+            family: 0,
+        },
+    ];
+    let bufs = SnapshotBuffers {
+        tasks,
+        instances,
+        ready_in_dispatch_order: ready,
+        ..SnapshotBuffers::default()
+    };
+    let remaining = vec![Millis::from_secs(8); n];
+    let values = vec![Millis::from_secs(12); n];
+    (wf, cfg, bufs, remaining, values)
+}
+
+/// Workflow slots for [`streaming_state`]: one per 8 tasks, all borrowing
+/// the same template.
+fn streaming_slots(wf: &wire_dag::Workflow, n: usize) -> Vec<wire_simcloud::WorkflowSlot<'_>> {
+    (0..n / STREAM_WF_TASKS)
+        .map(|k| wire_simcloud::WorkflowSlot {
+            id: wire_dag::WorkflowId(k as u32),
+            workflow: wf,
+            submitted_at: Millis::from_secs(60 * k as u64),
+            task_base: (k * STREAM_WF_TASKS) as u32,
+            stage_base: k as u32,
+        })
+        .collect()
+}
+
+/// The finished-prefix sizes of the streaming cases: the tick should cost
+/// the same in front of 10^3 and 10^5 finished tasks.
+const STREAM_PREFIXES: [usize; 2] = [1_000, 100_000];
+
 fn bench_lookahead_sweep(c: &mut Criterion) {
     // the §III-B2 projection alone, scratch reused across iterations — the
     // steady-state per-tick cost the zero-allocation work targets
@@ -225,6 +326,31 @@ fn bench_lookahead_sweep(c: &mut Criterion) {
             })
         });
     }
+    for prefix in STREAM_PREFIXES {
+        let (wf, cfg, bufs, remaining, values) = streaming_state(prefix);
+        let slots = streaming_slots(&wf, bufs.tasks.len());
+        let snap = wire_simcloud::MonitorSnapshot {
+            done_prefix: prefix,
+            ..bufs.snapshot(Millis::from_mins(30), &slots, &cfg)
+        };
+        let mut scratch = LookaheadScratch::default();
+        group.bench_with_input(
+            BenchmarkId::new("stream_prefix", prefix),
+            &prefix,
+            |b, _| {
+                b.iter(|| {
+                    let up = lookahead_into(
+                        &mut scratch,
+                        std::hint::black_box(&snap),
+                        &remaining,
+                        &values,
+                        Millis::from_mins(3),
+                    );
+                    std::hint::black_box(up.q_task.len())
+                })
+            },
+        );
+    }
     group.finish();
 }
 
@@ -244,6 +370,21 @@ fn bench_plan_tick(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| std::hint::black_box(policy.plan(&snap).launch))
         });
+    }
+    for prefix in STREAM_PREFIXES {
+        let (wf, cfg, bufs, _, _) = streaming_state(prefix);
+        let slots = streaming_slots(&wf, bufs.tasks.len());
+        let snap = wire_simcloud::MonitorSnapshot {
+            done_prefix: prefix,
+            ..bufs.snapshot(Millis::from_mins(30), &slots, &cfg)
+        };
+        let mut policy = WirePolicy::default();
+        policy.plan(&snap); // warm start: adopt the watermark, retire the prefix
+        group.bench_with_input(
+            BenchmarkId::new("stream_prefix", prefix),
+            &prefix,
+            |b, _| b.iter(|| std::hint::black_box(policy.plan(&snap).launch)),
+        );
     }
     group.finish();
 }

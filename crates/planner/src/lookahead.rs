@@ -19,6 +19,15 @@
 //! [`lookahead_into`], which reuses every working buffer (event heap, backlog,
 //! dependency counters) and the output [`Upcoming`] across ticks. The
 //! [`lookahead`] wrapper allocates a fresh scratch per call for one-shot use.
+//!
+//! Its per-tick work is windowed at the snapshot's done-prefix watermark
+//! ([`MonitorSnapshot::done_prefix`]): the per-task columns hold rows only
+//! for the tasks at and above it, indexed by `task − done_prefix`, and the
+//! dependency count skips every workflow slot wholly below it. In a stream of
+//! many small workflows, where nearly every arrived task is finished, a tick
+//! then costs O(live tasks + live slots + live instances) rather than
+//! O(arrived tasks). A snapshot reporting `done_prefix = 0` projects exactly
+//! the same load over the full window.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -26,7 +35,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use wire_dag::{Millis, TaskId};
 use wire_simcloud::{InstanceId, InstanceStateView, MonitorSnapshot, TaskView};
 
-/// Sentinel for "no entry" in the dense index columns.
+/// Sentinel for "not projected running" in `LookaheadScratch::running_slot`.
 const NONE: u32 = u32::MAX;
 
 /// The upcoming load at the start of the next interval.
@@ -38,21 +47,18 @@ pub struct Upcoming {
     pub q_task: Vec<(TaskId, Millis)>,
     /// `c_j` per current instance: the restart cost if the instance were
     /// released at the start of the next interval. Rows are in
-    /// `snapshot.instances` order.
+    /// `snapshot.instances` order, which is id order.
     pub restart_cost: Vec<(InstanceId, Millis)>,
     /// Per current instance: predicted occupancy *beyond* the horizon from
     /// the tasks running on it now — the steering policy's "confidence that
     /// the workflow can continue to use it efficiently" (§III-B3). An
     /// instance whose tasks are predicted to keep it busy past the next
     /// interval is not released even when its restart cost is low. Rows are
-    /// in `snapshot.instances` order.
+    /// in `snapshot.instances` order, which is id order.
     pub projected_busy: Vec<(InstanceId, Millis)>,
     /// The occupancy column of `q_task`, maintained alongside it so
     /// [`Upcoming::occupancies`] is a borrow, not a per-tick clone.
     occ: Vec<Millis>,
-    /// Instance id → row in `restart_cost`/`projected_busy` ([`NONE`] when
-    /// the id was not in the snapshot), making the `_of` lookups O(1).
-    inst_row: Vec<u32>,
 }
 
 impl Upcoming {
@@ -61,20 +67,22 @@ impl Upcoming {
         &self.occ
     }
 
-    fn row_of(&self, id: InstanceId) -> Option<usize> {
-        match self.inst_row.get(id.0 as usize).copied() {
-            Some(row) if row != NONE => Some(row as usize),
-            _ => None,
-        }
-    }
-
+    /// `c_j` of one instance, if it was in the snapshot (binary search over
+    /// the id-ordered rows).
     pub fn restart_cost_of(&self, id: InstanceId) -> Option<Millis> {
-        self.row_of(id).map(|r| self.restart_cost[r].1)
+        row_lookup(&self.restart_cost, id)
     }
 
+    /// Projected busy time of one instance, if it was in the snapshot.
     pub fn projected_busy_of(&self, id: InstanceId) -> Option<Millis> {
-        self.row_of(id).map(|r| self.projected_busy[r].1)
+        row_lookup(&self.projected_busy, id)
     }
+}
+
+fn row_lookup(rows: &[(InstanceId, Millis)], id: InstanceId) -> Option<Millis> {
+    rows.binary_search_by_key(&id, |&(i, _)| i)
+        .ok()
+        .map(|r| rows[r].1)
 }
 
 /// A projected running task. (Completion times live in the event queue; the
@@ -82,61 +90,43 @@ impl Upcoming {
 #[derive(Debug, Clone, Copy)]
 struct SimRunning {
     task: TaskId,
-    instance: InstanceId,
+    /// The instance's row in `snapshot.instances`.
+    row: u32,
     started_at: Millis,
     /// Sunk occupancy the task already had at projection time 0.
     sunk_at_0: Millis,
 }
 
-/// Projection events, ordered by (time, kind, id): a slot opening at time τ is
-/// offered to the backlog before completions at the same τ are processed —
-/// both orders are defensible; this one is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SimEvent {
-    SlotOpens { at: Millis, instance: InstanceId },
-    Completes { at: Millis, task: TaskId },
-}
-
-impl SimEvent {
-    fn at(&self) -> Millis {
-        match *self {
-            SimEvent::SlotOpens { at, .. } | SimEvent::Completes { at, .. } => at,
-        }
-    }
-
-    fn key(&self) -> (Millis, u8, u32) {
-        match *self {
-            SimEvent::SlotOpens { at, instance } => (at, 0, instance.0),
-            SimEvent::Completes { at, task } => (at, 1, task.0),
-        }
-    }
-}
+/// Projection events are heap keys `(time, kind, id)`: a slot opening at τ
+/// (`id` = instance row) is offered to the backlog before completions at the
+/// same τ (`id` = task) are processed — both orders are defensible; this one
+/// is deterministic. Rows follow instance ids, so the order is the same as
+/// keying by id.
+const SLOT_OPENS: u8 = 0;
+const COMPLETES: u8 = 1;
 
 /// Reusable working state for [`lookahead_into`]: every buffer the projection
 /// touches, plus the output [`Upcoming`]. Hold one per control loop and the
 /// per-tick projection allocates nothing once the buffers have grown to the
-/// workflow's size.
+/// live window's size.
 #[derive(Debug, Clone, Default)]
 pub struct LookaheadScratch {
-    /// Per task: already completed (real or projected).
+    /// Per window task (`task − done_prefix`): already completed (real or
+    /// projected). Tasks below the watermark read as done.
     done: Vec<bool>,
-    /// Per task: count of unmet dependencies.
+    /// Per window task: count of unmet dependencies.
     unmet: Vec<u32>,
     /// Queued tasks in the framework's dispatch order.
     backlog: VecDeque<TaskId>,
     /// Projected-running tasks (unordered; see `running_slot`).
     running: Vec<SimRunning>,
-    /// Per task: its index in `running`, or [`NONE`] — completions resolve in
-    /// O(1) instead of a per-event linear scan of the running set.
+    /// Per window task: its index in `running`, or [`NONE`] — completions
+    /// resolve in O(1) instead of a per-event linear scan of the running set.
     running_slot: Vec<u32>,
-    /// Event heap entries carry (time, kind, id, payload index): pops stay
-    /// ordered and decode is O(1).
-    events: BinaryHeap<Reverse<(Millis, u8, u32, u32)>>,
-    event_payload: Vec<SimEvent>,
-    /// Free slots available now, per accepting instance (FIFO).
-    free_now: VecDeque<InstanceId>,
-    /// Per snapshot-instance row: is the instance draining?
-    draining: Vec<bool>,
+    /// Pending projection events, `(time, kind, id)`.
+    events: BinaryHeap<Reverse<(Millis, u8, u32)>>,
+    /// Free slots available now, as accepting instance rows (FIFO).
+    free_now: VecDeque<u32>,
     /// Per snapshot-instance row: max projected sunk occupancy at the horizon.
     projected_max: Vec<Millis>,
     /// The output, rebuilt in place each call.
@@ -159,10 +149,16 @@ pub fn lookahead(
     scratch.out
 }
 
+/// Is global task `g` done, given window columns that start at `dp`?
+#[inline]
+fn done_at(done: &[bool], dp: usize, g: usize) -> bool {
+    g < dp || done[g - dp]
+}
+
 /// Simulate the next `horizon` of execution into `scratch`, returning the
 /// upcoming load borrowed from it.
 ///
-/// Two per-task arrays drive the projection:
+/// Two per-task arrays, indexed by global task id, drive the projection:
 ///
 /// * `remaining[t]` — the predicted minimum *remaining* occupancy (estimate
 ///   minus observed age for running tasks). This decides *which* tasks
@@ -175,7 +171,8 @@ pub fn lookahead(
 ///   tasks at `t_i − age` instead makes Algorithm 3 treat busy instances as
 ///   imminently reusable capacity and stalls pool growth at ~N/2.
 ///
-/// Entries for done tasks are ignored.
+/// Entries for done tasks, and every entry below the done-prefix watermark,
+/// are ignored.
 pub fn lookahead_into<'s>(
     scratch: &'s mut LookaheadScratch,
     snapshot: &MonitorSnapshot<'_>,
@@ -196,97 +193,67 @@ pub fn lookahead_into<'s>(
         running,
         running_slot,
         events,
-        event_payload,
         free_now,
-        draining,
         projected_max,
         out,
     } = scratch;
 
     // Every task below the engine's done-prefix watermark is permanently
-    // Done — mark the prefix in bulk and only inspect views above it.
+    // Done: the per-task columns cover only the window above it.
     let dp = snapshot.done_prefix.min(n);
+    let window = &snapshot.tasks[dp..];
     done.clear();
-    done.resize(dp, true);
-    done.extend(snapshot.tasks[dp..].iter().map(TaskView::is_done));
-    // Dependency edges are workflow-local; walk each arrived workflow's tasks
-    // through its slot's global offsets. Workflows entirely below the
-    // watermark have no un-done tasks: their rows keep unmet = 0, which the
-    // completion cascade never reads (it only touches !done successors).
+    done.extend(window.iter().map(TaskView::is_done));
+    // Dependency edges are workflow-local; walk each slot's tasks through its
+    // global offsets. Slots tile the task space in order, so the slots wholly
+    // below the watermark are a prefix: one search over the slot bases finds
+    // the last slot starting at or below it. That slot skips its rows below
+    // `dp` (all of them, when it ends at `dp`), and predecessors below the
+    // watermark count as done.
     unmet.clear();
-    unmet.resize(n, 0);
-    for slot in snapshot.workflows {
-        if slot.task_base as usize + slot.num_tasks() <= dp {
-            continue;
-        }
-        for t in slot.workflow.task_ids() {
-            let g = slot.global_task(t).index();
-            unmet[g] = slot
-                .workflow
-                .preds(t)
+    unmet.resize(window.len(), 0);
+    let first = snapshot
+        .workflows
+        .partition_point(|s| s.task_base as usize <= dp)
+        .saturating_sub(1);
+    let live_slots = &snapshot.workflows[first..];
+    for slot in live_slots {
+        let base = slot.task_base as usize;
+        for local in dp.saturating_sub(base)..slot.num_tasks() {
+            let preds = slot.workflow.preds(TaskId(local as u32));
+            unmet[base + local - dp] = preds
                 .iter()
-                .filter(|&&p| !done[slot.global_task(p).index()])
+                .filter(|p| !done_at(done, dp, base + p.index()))
                 .count() as u32;
         }
     }
     running.clear();
     running_slot.clear();
-    running_slot.resize(n, NONE);
+    running_slot.resize(window.len(), NONE);
     events.clear();
-    event_payload.clear();
     free_now.clear();
 
     // queued backlog in the framework's dispatch order
     backlog.clear();
     backlog.extend(snapshot.ready_in_dispatch_order.iter().copied());
 
-    // dense per-instance columns, in snapshot.instances row order
-    let max_id = snapshot
-        .instances
-        .iter()
-        .map(|iv| iv.id.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    out.inst_row.clear();
-    out.inst_row.resize(max_id, NONE);
-    draining.clear();
+    // One pass over the instance rows: free and opening slots, the tasks
+    // running now, and the seeds of both per-instance tables.
     projected_max.clear();
-    projected_max.resize(snapshot.instances.len(), Millis::ZERO);
+    out.projected_busy.clear();
     for (row, iv) in snapshot.instances.iter().enumerate() {
-        out.inst_row[iv.id.0 as usize] = row as u32;
-        draining.push(matches!(iv.state, InstanceStateView::Draining { .. }));
-    }
-
-    let push_event = |events: &mut BinaryHeap<Reverse<(Millis, u8, u32, u32)>>,
-                      payloads: &mut Vec<SimEvent>,
-                      ev: SimEvent| {
-        let (at, kind, id) = ev.key();
-        debug_assert!(ev.at() == at);
-        events.push(Reverse((at, kind, id, payloads.len() as u32)));
-        payloads.push(ev);
-    };
-
-    for iv in snapshot.instances {
+        let row = row as u32;
         match iv.state {
             InstanceStateView::Running { .. } => {
-                for _ in 0..iv.free_slots {
-                    free_now.push_back(iv.id);
-                }
+                free_now.extend(std::iter::repeat_n(row, iv.free_slots as usize));
             }
             InstanceStateView::Launching { ready_at } => {
                 let at = ready_at.saturating_sub(snapshot.now);
-                for _ in 0..iv.free_slots {
-                    if at.is_zero() {
-                        free_now.push_back(iv.id);
-                    } else if at < horizon {
-                        push_event(
-                            events,
-                            event_payload,
-                            SimEvent::SlotOpens {
-                                at,
-                                instance: iv.id,
-                            },
-                        );
+                if at.is_zero() {
+                    free_now.extend(std::iter::repeat_n(row, iv.free_slots as usize));
+                } else if at < horizon {
+                    for _ in 0..iv.free_slots {
+                        events.push(Reverse((at, SLOT_OPENS, row)));
                     }
                 }
             }
@@ -294,16 +261,20 @@ pub fn lookahead_into<'s>(
                 // keeps its running tasks, accepts nothing new
             }
         }
-    }
 
-    for (i, tv) in snapshot.tasks.iter().enumerate().skip(dp) {
-        if let TaskView::Running {
-            instance,
-            occupied_for,
-            ..
-        } = *tv
-        {
-            let task = TaskId(i as u32);
+        // `still_running` assumes every task running now is still on its slot
+        // at the horizon (the pessimistic half of `c_j`, see the harvest);
+        // `busy` is the predicted occupancy beyond the horizon (overdue tasks
+        // contribute zero here; their protection comes from the restart cost).
+        let mut still_running = Millis::ZERO;
+        let mut busy = Millis::ZERO;
+        for &task in &iv.tasks {
+            let i = task.index();
+            busy = busy.max(remaining[i].saturating_sub(horizon));
+            let TaskView::Running { occupied_for, .. } = snapshot.tasks[i] else {
+                continue;
+            };
+            still_running = still_running.max(occupied_for + horizon);
             // An *overdue* running task (conservative minimum remaining
             // already elapsed) is "about to complete" but has not been
             // observed to — it stays active through the horizon, holding its
@@ -316,98 +287,87 @@ pub fn lookahead_into<'s>(
             } else {
                 remaining[i]
             };
-            running_slot[i] = running.len() as u32;
+            running_slot[i - dp] = running.len() as u32;
             running.push(SimRunning {
                 task,
-                instance,
+                row,
                 started_at: Millis::ZERO,
                 sunk_at_0: occupied_for,
             });
             if finish_at < horizon {
-                push_event(
-                    events,
-                    event_payload,
-                    SimEvent::Completes {
-                        at: finish_at,
-                        task,
-                    },
-                );
+                events.push(Reverse((finish_at, COMPLETES, task.0)));
             }
         }
+        projected_max.push(still_running);
+        out.projected_busy.push((iv.id, busy));
     }
 
     // dispatch helper: fill currently free slots from the backlog
     macro_rules! dispatch {
         ($now:expr) => {
             while !backlog.is_empty() && !free_now.is_empty() {
-                let instance = free_now.pop_front().expect("non-empty");
+                let row = free_now.pop_front().expect("non-empty");
                 let task = backlog.pop_front().expect("non-empty");
-                let finish_at = $now + remaining[task.index()];
-                running_slot[task.index()] = running.len() as u32;
+                running_slot[task.index() - dp] = running.len() as u32;
                 running.push(SimRunning {
                     task,
-                    instance,
+                    row,
                     started_at: $now,
                     sunk_at_0: Millis::ZERO,
                 });
-                push_event(
-                    events,
-                    event_payload,
-                    SimEvent::Completes {
-                        at: finish_at,
-                        task,
-                    },
-                );
+                let finish_at = $now + remaining[task.index()];
+                events.push(Reverse((finish_at, COMPLETES, task.0)));
             }
         };
     }
 
     dispatch!(Millis::ZERO);
 
-    while let Some(&Reverse(key)) = events.peek() {
-        if key.0 >= horizon {
+    while let Some(&Reverse((at, kind, id))) = events.peek() {
+        if at >= horizon {
             break;
         }
         events.pop();
-        let ev = event_payload[key.3 as usize];
-        match ev {
-            SimEvent::SlotOpens { at, instance } => {
-                free_now.push_back(instance);
-                dispatch!(at);
+        if kind == SLOT_OPENS {
+            free_now.push_back(id);
+            dispatch!(at);
+            continue;
+        }
+        let task = TaskId(id);
+        let w = task.index() - dp;
+        let slot = running_slot[w];
+        if slot == NONE {
+            continue; // stale
+        }
+        let pos = slot as usize;
+        let fin = running.swap_remove(pos);
+        running_slot[w] = NONE;
+        if let Some(moved) = running.get(pos) {
+            running_slot[moved.task.index() - dp] = pos as u32;
+        }
+        done[w] = true;
+        // a draining instance keeps its running tasks but accepts nothing new
+        if !matches!(
+            snapshot.instances[fin.row as usize].state,
+            InstanceStateView::Draining { .. }
+        ) {
+            free_now.push_back(fin.row);
+        }
+        let slot = &live_slots[live_slots.partition_point(|s| s.task_base <= id) - 1];
+        for &s in slot.workflow.succs(slot.local_task(task)) {
+            let g = slot.global_task(s).index();
+            if done_at(done, dp, g) {
+                continue;
             }
-            SimEvent::Completes { at, task } => {
-                let slot = running_slot[task.index()];
-                if slot == NONE {
-                    continue; // stale
+            let u = &mut unmet[g - dp];
+            if *u > 0 {
+                *u -= 1;
+                if *u == 0 {
+                    backlog.push_back(TaskId(g as u32));
                 }
-                let pos = slot as usize;
-                let fin = running.swap_remove(pos);
-                running_slot[task.index()] = NONE;
-                if let Some(moved) = running.get(pos) {
-                    running_slot[moved.task.index()] = pos as u32;
-                }
-                done[task.index()] = true;
-                let fin_row = out
-                    .inst_row
-                    .get(fin.instance.0 as usize)
-                    .copied()
-                    .unwrap_or(NONE);
-                if fin_row == NONE || !draining[fin_row as usize] {
-                    free_now.push_back(fin.instance);
-                }
-                let slot = snapshot.slot_of_task(task);
-                for &s in slot.workflow.succs(slot.local_task(task)) {
-                    let s = slot.global_task(s);
-                    if !done[s.index()] && unmet[s.index()] > 0 {
-                        unmet[s.index()] -= 1;
-                        if unmet[s.index()] == 0 {
-                            backlog.push_back(s);
-                        }
-                    }
-                }
-                dispatch!(at);
             }
         }
+        dispatch!(at);
     }
 
     // --- harvest the state at the horizon ----------------------------------
@@ -432,49 +392,26 @@ pub fn lookahead_into<'s>(
     // would throw away its entire sunk cost. The load estimate must stay
     // conservative-low (never over-provision), but the release decision must
     // stay conservative-high: take the max over (a) tasks running *now*
-    // assumed to still be occupying their slot at the horizon, and (b) tasks
-    // the projection newly placed on the instance.
+    // assumed to still be occupying their slot at the horizon (the
+    // `projected_max` seed above), and (b) tasks the projection newly placed
+    // on the instance.
     //
     // Both per-instance tables are built in single passes over dense row
     // columns: a nested instances × tasks scan makes wide pools (Figure 2's
     // N = 1000 sweeps) quadratic per tick.
     for r in running.iter() {
         let c = r.sunk_at_0 + (horizon - r.started_at);
-        let row = out
-            .inst_row
-            .get(r.instance.0 as usize)
-            .copied()
-            .unwrap_or(NONE);
-        if row != NONE {
-            projected_max[row as usize] = projected_max[row as usize].max(c);
-        }
+        let m = &mut projected_max[r.row as usize];
+        *m = (*m).max(c);
     }
     out.restart_cost.clear();
-    out.projected_busy.clear();
-    for (row, iv) in snapshot.instances.iter().enumerate() {
-        let still_running = iv
-            .tasks
+    out.restart_cost.extend(
+        snapshot
+            .instances
             .iter()
-            .filter_map(|t| match snapshot.tasks[t.index()] {
-                TaskView::Running { occupied_for, .. } => Some(occupied_for + horizon),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(Millis::ZERO);
-        out.restart_cost
-            .push((iv.id, projected_max[row].max(still_running)));
-
-        // Predicted occupancy of each instance beyond the horizon, from the
-        // tasks running on it at snapshot time (overdue tasks contribute zero
-        // here; their protection comes from the pessimistic restart cost).
-        let busy = iv
-            .tasks
-            .iter()
-            .map(|t| remaining[t.index()].saturating_sub(horizon))
-            .max()
-            .unwrap_or(Millis::ZERO);
-        out.projected_busy.push((iv.id, busy));
-    }
+            .zip(projected_max.iter())
+            .map(|(iv, &c)| (iv.id, c)),
+    );
 
     out
 }
@@ -538,6 +475,230 @@ mod tests {
         }));
         let slots: &'a [WorkflowSlot<'a>] = Box::leak(Box::new([WorkflowSlot::solo(wf)]));
         bufs.snapshot(Millis::ZERO, slots, cfg)
+    }
+
+    /// A snapshot over several workflow slots, numbered back to back as the
+    /// engine numbers arrivals (leaked, like [`snapshot`]).
+    fn multi_snapshot(
+        wfs: Vec<Workflow>,
+        l: u32,
+        tasks: Vec<TaskView>,
+        instances: Vec<InstanceView>,
+        ready: Vec<TaskId>,
+    ) -> MonitorSnapshot<'static> {
+        let wfs: &'static [Workflow] = Box::leak(wfs.into_boxed_slice());
+        let (mut task_base, mut stage_base) = (0u32, 0u32);
+        let slots: Vec<WorkflowSlot<'static>> = wfs
+            .iter()
+            .enumerate()
+            .map(|(k, wf)| {
+                let slot = WorkflowSlot {
+                    id: wire_dag::WorkflowId(k as u32),
+                    workflow: wf,
+                    submitted_at: Millis::ZERO,
+                    task_base,
+                    stage_base,
+                };
+                task_base += wf.num_tasks() as u32;
+                stage_base += wf.num_stages() as u32;
+                slot
+            })
+            .collect();
+        assert_eq!(task_base as usize, tasks.len());
+        let slots: &'static [WorkflowSlot<'static>] = Box::leak(slots.into_boxed_slice());
+        let cfg: &'static CloudConfig = Box::leak(Box::new(config(l)));
+        let bufs: &'static SnapshotBuffers = Box::leak(Box::new(SnapshotBuffers {
+            tasks,
+            instances,
+            ready_in_dispatch_order: ready,
+            ..SnapshotBuffers::default()
+        }));
+        bufs.snapshot(Millis::ZERO, slots, cfg)
+    }
+
+    /// Project `snap` with every sound watermark `0..=max_prefix` and assert
+    /// each windowed projection equals the full one (`done_prefix = 0`),
+    /// with per-task columns of exactly `n − done_prefix` rows. Returns the
+    /// full projection.
+    fn windowed_equals_full(
+        snap: &MonitorSnapshot<'_>,
+        max_prefix: usize,
+        remaining: &[Millis],
+        values: &[Millis],
+        horizon: Millis,
+    ) -> Upcoming {
+        let full = lookahead(snap, remaining, values, horizon);
+        let mut scratch = LookaheadScratch::default();
+        for dp in (0..=max_prefix).rev() {
+            let windowed = MonitorSnapshot {
+                done_prefix: dp,
+                ..*snap
+            };
+            let got = lookahead_into(&mut scratch, &windowed, remaining, values, horizon);
+            assert_eq!(got, &full, "done_prefix {dp}");
+            let rows = snap.tasks.len() - dp;
+            assert_eq!(scratch.done.len(), rows, "done_prefix {dp}");
+            assert_eq!(scratch.unmet.len(), rows, "done_prefix {dp}");
+            assert_eq!(scratch.running_slot.len(), rows, "done_prefix {dp}");
+        }
+        full
+    }
+
+    /// t0 → {t1, t2} → t3
+    fn diamond() -> Workflow {
+        let mut b = WorkflowBuilder::new("diamond");
+        let s = b.add_stage("s");
+        let t: Vec<TaskId> = (0..4).map(|_| b.add_task(s, 0, 0)).collect();
+        for (a, z) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            b.add_dep(t[a], t[z]).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn done() -> TaskView {
+        TaskView::Done {
+            exec_time: mins(1),
+            transfer_time: Millis::ZERO,
+        }
+    }
+
+    fn running_on(id: u32, occupied: Millis) -> TaskView {
+        TaskView::Running {
+            instance: InstanceId(id),
+            exec_age: occupied,
+            occupied_for: occupied,
+        }
+    }
+
+    #[test]
+    fn prefix_ending_mid_workflow_projects_as_the_full_window() {
+        // slots: chain(3) = 0..3, diamond = 3..7, chain(2) = 7..9. The
+        // watermark at 5 ends inside the diamond: its root and one branch
+        // (global 3, 4) are done, the other branch (5) runs, and the join
+        // (6) waits on 4 (below the prefix) and 5 (live).
+        let mut tasks = vec![done(); 5];
+        tasks.extend([
+            running_on(0, mins(2)),
+            TaskView::Unready,
+            TaskView::Ready,
+            TaskView::Unready,
+        ]);
+        let snap = multi_snapshot(
+            vec![chain(3), diamond(), chain(2)],
+            2,
+            tasks,
+            vec![inst(
+                0,
+                InstanceStateView::Running {
+                    charge_start: Millis::ZERO,
+                },
+                vec![TaskId(5)],
+                2,
+            )],
+            vec![TaskId(7)],
+        );
+        let remaining: Vec<Millis> = (0..9)
+            .map(|i| if i == 5 { mins(1) } else { mins(2) })
+            .collect();
+        let values: Vec<Millis> = (0..9).map(|i| mins(10 + i)).collect();
+        let up = windowed_equals_full(&snap, 5, &remaining, &values, mins(3));
+        // 7 takes the free slot at 0 and finishes at 2; 5 finishes at 1 and
+        // releases the join (its other predecessor lies below the prefix),
+        // which runs from 1; 7's successor 8 runs from 2
+        assert_eq!(
+            up.q_task,
+            vec![(TaskId(6), mins(16)), (TaskId(8), mins(18))]
+        );
+        assert_eq!(up.restart_cost_of(InstanceId(0)), Some(mins(5)));
+    }
+
+    #[test]
+    fn live_successor_of_a_predecessor_below_the_prefix_is_ready() {
+        // slots: chain(2) = 0..2, chain(3) = 2..5. The prefix ends at 3:
+        // task 3's only predecessor (2) lies below it, so 3 is dispatched
+        // from the ready queue and its own successor (4) follows it within
+        // the horizon.
+        let mut tasks = vec![done(); 3];
+        tasks.extend([TaskView::Ready, TaskView::Unready]);
+        let snap = multi_snapshot(
+            vec![chain(2), chain(3)],
+            1,
+            tasks,
+            vec![inst(
+                7,
+                InstanceStateView::Running {
+                    charge_start: Millis::ZERO,
+                },
+                vec![],
+                1,
+            )],
+            vec![TaskId(3)],
+        );
+        let remaining = vec![mins(1), mins(1), mins(1), mins(1), mins(5)];
+        let values = vec![mins(4); 5];
+        let up = windowed_equals_full(&snap, 3, &remaining, &values, mins(3));
+        assert_eq!(up.q_task, vec![(TaskId(4), mins(4))]);
+    }
+
+    #[test]
+    fn draining_instance_above_the_prefix_takes_no_new_work() {
+        // slots: chain(2) = 0..2, three independent tasks = 2..5, chain(2) =
+        // 5..7; prefix 3. Task 3 finishes at 1 on a draining instance, which
+        // must not take the queued 5; task 4 frees the running instance at
+        // 2, and 5 runs there from 2.
+        let mut b = WorkflowBuilder::new("fan");
+        let s = b.add_stage("s");
+        for _ in 0..3 {
+            b.add_task(s, 0, 0);
+        }
+        let fan = b.build().unwrap();
+        let mut tasks = vec![done(); 3];
+        tasks.extend([
+            running_on(0, mins(1)),
+            running_on(1, mins(2)),
+            TaskView::Ready,
+            TaskView::Unready,
+        ]);
+        let snap = multi_snapshot(
+            vec![chain(2), fan, chain(2)],
+            1,
+            tasks,
+            vec![
+                inst(
+                    0,
+                    InstanceStateView::Draining {
+                        terminate_at: mins(10),
+                    },
+                    vec![TaskId(3)],
+                    1,
+                ),
+                inst(
+                    1,
+                    InstanceStateView::Running {
+                        charge_start: Millis::ZERO,
+                    },
+                    vec![TaskId(4)],
+                    1,
+                ),
+            ],
+            vec![TaskId(5)],
+        );
+        let remaining: Vec<Millis> = vec![
+            mins(1),
+            mins(1),
+            mins(1),
+            mins(1),
+            mins(2),
+            mins(5),
+            mins(5),
+        ];
+        let values = vec![mins(6); 7];
+        let up = windowed_equals_full(&snap, 3, &remaining, &values, mins(3));
+        assert_eq!(up.q_task, vec![(TaskId(5), mins(6))]);
+        // both stay pessimistic: each current task assumed still running
+        assert_eq!(up.restart_cost_of(InstanceId(0)), Some(mins(4)));
+        assert_eq!(up.restart_cost_of(InstanceId(1)), Some(mins(5)));
+        assert_eq!(up.projected_busy_of(InstanceId(1)), Some(Millis::ZERO));
     }
 
     #[test]

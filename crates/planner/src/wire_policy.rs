@@ -3,7 +3,7 @@
 
 use crate::lookahead::{lookahead_into, LookaheadScratch};
 use crate::steering::{steer, steer_explained, SteeringConfig};
-use wire_dag::{Millis, TaskId};
+use wire_dag::Millis;
 use wire_obs::StreamingRecorder;
 use wire_predictor::{
     CompletedTaskObs, Estimator, IntervalObservations, MemoryModel, PolicyKind, Predictor,
@@ -284,15 +284,14 @@ impl WirePolicy {
             );
         }
         // tasks below the done-prefix watermark are Done, never Running
-        for (i, tv) in snapshot.tasks.iter().enumerate().skip(snapshot.done_prefix) {
-            if let TaskView::Running { exec_age, .. } = *tv {
-                let task = TaskId(i as u32);
-                let stage = snapshot.stage_of(task);
+        for (task, tv, slot) in snapshot.live_tasks() {
+            if let TaskView::Running { exec_age, .. } = tv {
+                let spec = slot.workflow.task(slot.local_task(task));
                 obs.push_running(
-                    stage.index(),
+                    slot.global_stage(spec.stage).index(),
                     RunningTaskObs {
                         task,
-                        input_bytes: snapshot.spec(task).input_bytes,
+                        input_bytes: spec.input_bytes,
                         age: exec_age,
                     },
                 );
@@ -396,9 +395,9 @@ impl ScalingPolicy for WirePolicy {
         let transfer_version = predictor.transfer_version();
         let mut uses = [0u64; 5];
         let (memo_hits_before, memo_lookups_before) = (self.memo_hits, self.memo_lookups);
-        for (i, tv) in snapshot.tasks.iter().enumerate().skip(dp) {
-            let task = TaskId(i as u32);
-            let status = match *tv {
+        for (task, tv, slot) in snapshot.live_tasks() {
+            let i = task.index();
+            let status = match tv {
                 TaskView::Done { .. } => {
                     self.remaining[i] = Millis::ZERO;
                     self.values[i] = Millis::ZERO;
@@ -409,8 +408,8 @@ impl ScalingPolicy for WirePolicy {
                 TaskView::Ready => TaskStatus::UnstartedReady,
                 TaskView::Running { exec_age, .. } => TaskStatus::Running { age: exec_age },
             };
-            let input_bytes = snapshot.spec(task).input_bytes;
-            let stage = snapshot.stage_of(task);
+            let spec = slot.workflow.task(slot.local_task(task));
+            let (input_bytes, stage) = (spec.input_bytes, slot.global_stage(spec.stage));
             let (remaining, value, policy) = if matches!(status, TaskStatus::Running { .. }) {
                 // age advances every tick — nothing to memoize
                 let p = predictor.predict_occupancy(stage, input_bytes, status);

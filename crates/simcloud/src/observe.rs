@@ -169,9 +169,13 @@ pub struct MonitorSnapshot<'a> {
     pub config: &'a CloudConfig,
     /// Watermark: every task with index `< done_prefix` is
     /// [`TaskView::Done`]. Always sound to ignore (0 is valid for any
-    /// snapshot); consumers may use it to skip the completed prefix when
-    /// scanning `tasks`, which keeps per-tick work proportional to *live*
-    /// tasks in long streaming sessions.
+    /// snapshot, and a consumer must decide the same with 0 as with the
+    /// engine's value); consumers may use it to skip the completed prefix
+    /// when scanning `tasks`, which keeps per-tick work proportional to
+    /// *live* tasks in long streaming sessions. WIRE's controller windows
+    /// its per-task columns here: [`live_tasks`](Self::live_tasks) walks the
+    /// tasks above it, and the lookahead sizes its columns `tasks.len() −
+    /// done_prefix`.
     pub done_prefix: usize,
     /// The engine is running its naive (pre-indexing) core. Policy-side fast
     /// paths should fall back to their dense historical equivalents so the
@@ -309,6 +313,26 @@ impl<'a> MonitorSnapshot<'a> {
         slot.global_stage(slot.workflow.task(slot.local_task(task)).stage)
     }
 
+    /// The tasks from `done_prefix` on, in task order, each with the slot
+    /// that owns it. One cursor walks the slots beside the tasks, so a step
+    /// costs O(1) amortized instead of the search over every arrived slot
+    /// that [`slot_of_task`](Self::slot_of_task) makes.
+    pub fn live_tasks(&self) -> impl Iterator<Item = (TaskId, TaskView, &'a WorkflowSlot<'a>)> {
+        let dp = self.done_prefix.min(self.tasks.len());
+        let slots = self.workflows;
+        // the last slot starting at or below the watermark (slots tile the
+        // task space in order); the cursor steps past it if it ends there
+        let mut s = slots
+            .partition_point(|w| w.task_base as usize <= dp)
+            .saturating_sub(1);
+        self.tasks[dp..].iter().zip(dp..).map(move |(&tv, g)| {
+            while slots[s].task_base as usize + slots[s].num_tasks() <= g {
+                s += 1;
+            }
+            (TaskId(g as u32), tv, &slots[s])
+        })
+    }
+
     /// The workflow of a single-workflow session, if this is one.
     pub fn solo_workflow(&self) -> Option<&'a Workflow> {
         match self.workflows {
@@ -421,6 +445,19 @@ mod tests {
         assert!(!slots[0].contains(TaskId(3)));
         assert_eq!(slots[1].global_task(TaskId(1)), TaskId(4));
         assert_eq!(slots[1].local_task(TaskId(4)), TaskId(1));
+        // the cursor agrees with the per-task search from any watermark
+        for dp in 0..=5 {
+            let windowed = MonitorSnapshot {
+                done_prefix: dp,
+                ..snap
+            };
+            let live: Vec<(TaskId, WorkflowId)> =
+                windowed.live_tasks().map(|(t, _, s)| (t, s.id)).collect();
+            let searched: Vec<(TaskId, WorkflowId)> = (dp as u32..5)
+                .map(|t| (TaskId(t), snap.slot_of_task(TaskId(t)).id))
+                .collect();
+            assert_eq!(live, searched, "done_prefix {dp}");
+        }
     }
 
     #[test]
