@@ -201,6 +201,57 @@ fn midrun_state(
     (wf, cfg, bufs, remaining, values)
 }
 
+/// The Figure 2 tail's tick shape: one stage of `n` tasks, every one running
+/// on its own single-slot instance, so the controller predicts `n` running
+/// tasks over an `n`-row pool. Tasks started in id order (FIFO), half a
+/// second apart, and the cloud is `Cell::linear`'s at U = 1 min: a 3 s
+/// interval and horizon.
+fn wide_running_state(
+    n: usize,
+) -> (
+    wire_dag::Workflow,
+    wire_simcloud::CloudConfig,
+    wire_simcloud::SnapshotBuffers,
+) {
+    use wire_dag::{TaskId, WorkflowBuilder};
+    use wire_simcloud::{
+        CloudConfig, InstanceId, InstanceStateView, InstanceView, SnapshotBuffers, TaskView,
+    };
+
+    let mut b = WorkflowBuilder::new("wide");
+    let s = b.add_stage("s");
+    for _ in 0..n {
+        b.add_task(s, 1_000, 1_000);
+    }
+    let wf = b.build().unwrap();
+    let cfg = CloudConfig::linear_analysis(Millis::from_mins(1), Millis::from_secs(3));
+    let mut tasks = Vec::with_capacity(n);
+    let mut instances = Vec::with_capacity(n);
+    for i in 0..n as u32 {
+        let age = Millis::from_ms(500 * (n as u64 - i as u64));
+        tasks.push(TaskView::Running {
+            instance: InstanceId(i),
+            exec_age: age,
+            occupied_for: age + Millis::from_secs(2),
+        });
+        instances.push(InstanceView {
+            id: InstanceId(i),
+            state: InstanceStateView::Running {
+                charge_start: Millis::ZERO,
+            },
+            tasks: vec![TaskId(i)],
+            free_slots: 0,
+            family: 0,
+        });
+    }
+    let bufs = SnapshotBuffers {
+        tasks,
+        instances,
+        ..SnapshotBuffers::default()
+    };
+    (wf, cfg, bufs)
+}
+
 /// Tasks per workflow and live tasks in [`streaming_state`].
 const STREAM_WF_TASKS: usize = 8;
 
@@ -386,6 +437,15 @@ fn bench_plan_tick(c: &mut Criterion) {
             |b, _| b.iter(|| std::hint::black_box(policy.plan(&snap).launch)),
         );
     }
+    let n = 1000;
+    let (wf, cfg, bufs) = wide_running_state(n);
+    let slots = [wire_simcloud::WorkflowSlot::solo(&wf)];
+    let snap = bufs.snapshot(Millis::from_mins(30), &slots, &cfg);
+    let mut policy = WirePolicy::default();
+    policy.plan(&snap); // warm start: grow buffers, seed the running ages
+    group.bench_with_input(BenchmarkId::new("wide_running", n), &n, |b, _| {
+        b.iter(|| std::hint::black_box(policy.plan(&snap).launch))
+    });
     group.finish();
 }
 

@@ -238,14 +238,22 @@ pub fn lookahead_into<'s>(
     backlog.extend(snapshot.ready_in_dispatch_order.iter().copied());
 
     // One pass over the instance rows: free and opening slots, the tasks
-    // running now, and the seeds of both per-instance tables.
+    // running now, and the seeds of both per-instance tables. Every row
+    // pushes one seed to each table and, on a pool of busy single-slot
+    // instances, one running task: reserve for that once up front.
+    let rows = snapshot.instances.len();
     projected_max.clear();
+    projected_max.reserve(rows);
     out.projected_busy.clear();
+    out.projected_busy.reserve(rows);
+    running.reserve(rows);
     for (row, iv) in snapshot.instances.iter().enumerate() {
         let row = row as u32;
         match iv.state {
             InstanceStateView::Running { .. } => {
-                free_now.extend(std::iter::repeat_n(row, iv.free_slots as usize));
+                if iv.free_slots > 0 {
+                    free_now.extend(std::iter::repeat_n(row, iv.free_slots as usize));
+                }
             }
             InstanceStateView::Launching { ready_at } => {
                 let at = ready_at.saturating_sub(snapshot.now);

@@ -3,11 +3,11 @@
 
 use crate::lookahead::{lookahead_into, LookaheadScratch};
 use crate::steering::{steer, steer_explained, SteeringConfig};
-use wire_dag::Millis;
+use wire_dag::{Millis, StageId};
 use wire_obs::StreamingRecorder;
 use wire_predictor::{
-    CompletedTaskObs, Estimator, IntervalObservations, MemoryModel, PolicyKind, Predictor,
-    RunningTaskObs, StageVersions, TaskStatus,
+    CompletedTaskObs, Estimator, IntervalObservations, MemoryModel, PolicyKind, Prediction,
+    Predictor, RunningTaskObs, StageVersions, TaskStatus,
 };
 use wire_simcloud::{MonitorSnapshot, PoolPlan, ScalingPolicy, TaskView};
 use wire_telemetry::TelemetryHandle;
@@ -393,6 +393,11 @@ impl ScalingPolicy for WirePolicy {
             self.retired_slots += 1;
         }
         let transfer_version = predictor.transfer_version();
+        let transfer = predictor.transfer_estimate();
+        // A running task's total estimate is its stage's ready-task estimate
+        // (see `Prediction::running_occupancy`), so consecutive running tasks
+        // sharing a stage and input size share one `predict_task` call.
+        let mut last_running: Option<(StageId, u64, Prediction)> = None;
         let mut uses = [0u64; 5];
         let (memo_hits_before, memo_lookups_before) = (self.memo_hits, self.memo_lookups);
         for (task, tv, slot) in snapshot.live_tasks() {
@@ -410,10 +415,21 @@ impl ScalingPolicy for WirePolicy {
             };
             let spec = slot.workflow.task(slot.local_task(task));
             let (input_bytes, stage) = (spec.input_bytes, slot.global_stage(spec.stage));
-            let (remaining, value, policy) = if matches!(status, TaskStatus::Running { .. }) {
+            let (remaining, value, policy) = if let TaskStatus::Running { age } = status {
                 // age advances every tick — nothing to memoize
-                let p = predictor.predict_occupancy(stage, input_bytes, status);
-                self.memo[i] = None;
+                let ready = match last_running {
+                    Some((s, b, p)) if (s, b) == (stage, input_bytes) => p,
+                    _ => {
+                        let p =
+                            predictor.predict_task(stage, input_bytes, TaskStatus::UnstartedReady);
+                        last_running = Some((stage, input_bytes, p));
+                        p
+                    }
+                };
+                let p = ready.running_occupancy(age, transfer);
+                if self.memo[i].is_some() {
+                    self.memo[i] = None;
+                }
                 (p.remaining, p.exec_time, p.policy)
             } else {
                 let stage_versions = predictor.stage_state(stage).versions();

@@ -44,6 +44,26 @@ pub struct Prediction {
     pub policy: PolicyKind,
 }
 
+impl Prediction {
+    /// The occupancy prediction of a task that has run for `age`, derived
+    /// from its stage's ready-task prediction (`self`, from
+    /// [`predict_task`]`(.., UnstartedReady)` with the same input bytes) and
+    /// the transfer estimate.
+    ///
+    /// [`predict_task`] takes the same policy arm for a running task as for a
+    /// ready one, so a single ready-task prediction serves every running task
+    /// of a stage with those input bytes. The result equals
+    /// [`crate::Predictor::predict_occupancy`]`(.., Running { age })` field
+    /// for field: the transfer extends the total, not the remaining gap.
+    pub fn running_occupancy(self, age: Millis, transfer: Millis) -> Prediction {
+        Prediction {
+            exec_time: self.exec_time + transfer,
+            remaining: self.exec_time.saturating_sub(age),
+            policy: self.policy,
+        }
+    }
+}
+
 /// Predict the execution time of one incomplete/unstarted task of a stage,
 /// choosing among the five policies exactly as §III-C prescribes.
 ///

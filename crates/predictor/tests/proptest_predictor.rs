@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use wire_dag::Millis;
+use wire_dag::{Millis, StageId, TaskId};
 use wire_predictor::ogd::TrainPoint;
 use wire_predictor::{
-    median_millis, Estimator, IntervalMedian, MedianAcc, OgdModel, StageState, TransferEstimator,
+    median_millis, CompletedTaskObs, Estimator, IntervalMedian, IntervalObservations, MedianAcc,
+    OgdModel, PolicyKind, Predictor, RunningTaskObs, StageState, TaskStatus, TransferEstimator,
 };
 
 /// An interval stream: batches of 0..12 ages (so empty batches are common),
@@ -163,5 +164,120 @@ proptest! {
             prop_assert_eq!(s.median_running_age(), expected);
             prop_assert_eq!(s.has_running(), !batch.is_empty());
         }
+    }
+}
+
+/// One interval of a three-stage history: stage-2 completions as (size
+/// group, exec ms), stage-1 and stage-2 running ages, transfer durations.
+type Interval = (Vec<(usize, u64)>, Vec<u64>, Vec<u64>, Vec<u64>);
+
+/// Size-group offsets, 1–12 intervals, and probe ages in ms.
+fn stage_history() -> impl Strategy<Value = (Vec<u64>, Vec<Interval>, Vec<u64>)> {
+    let interval = (
+        proptest::collection::vec((0usize..4, 1_000u64..900_000), 0..6),
+        proptest::collection::vec(0u64..900_000, 1..6),
+        proptest::collection::vec(0u64..900_000, 0..6),
+        proptest::collection::vec(1u64..60_000, 1..4),
+    );
+    (
+        proptest::collection::vec(1u64..1_000, 1..5),
+        proptest::collection::vec(interval, 1..12),
+        proptest::collection::vec(0u64..2_000_000, 1..8),
+    )
+}
+
+fn policy_number(kind: PolicyKind) -> usize {
+    match kind {
+        PolicyKind::NoObservation => 1,
+        PolicyKind::RunningMedian => 2,
+        PolicyKind::CompletedMedian => 3,
+        PolicyKind::GroupMedian => 4,
+        PolicyKind::OnlineGradientDescent => 5,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // A running task's occupancy derived from its stage's ready-task
+    // estimate (the controller's one-call-per-stage form) equals the direct
+    // `predict_occupancy(.., Running { age })`, field for field. Stage 0 is
+    // never observed (Policy 1), stage 1 only runs (Policy 2) and stage 2
+    // completes tasks of 1–4 size groups (Policies 3–5), over 1–12 intervals
+    // of OGD steps with a nonzero transfer estimate; ages fall below, at
+    // and above each estimate.
+    #[test]
+    fn running_occupancy_from_the_ready_estimate_matches_direct(
+        (groups, intervals, ages) in stage_history(),
+    ) {
+        // group representatives at least 4x apart: far outside the 1 %
+        // grouping tolerance, so every rep is its own group
+        let reps: Vec<u64> = groups
+            .iter()
+            .enumerate()
+            .map(|(k, g)| 4u64.pow(k as u32 + 1) * 1_000_000 + g)
+            .collect();
+        let fresh = 3 * 1_000_000 + 17; // matches no group: Policy 5
+        let mut p = Predictor::with_stage_count(3, Estimator::Median);
+        let mut obs = IntervalObservations::with_stages(3);
+        let mut completed_any = false;
+        for (completions, running_1, running_2, transfers) in &intervals {
+            obs.begin_interval();
+            for &(g, exec) in completions {
+                obs.per_stage[2].completed.push(CompletedTaskObs {
+                    task: TaskId(0),
+                    input_bytes: reps[g % reps.len()],
+                    exec_time: Millis::from_ms(exec),
+                });
+            }
+            completed_any |= !completions.is_empty();
+            for (stage, running) in [(1, running_1), (2, running_2)] {
+                obs.per_stage[stage].running.extend(running.iter().map(|&a| RunningTaskObs {
+                    task: TaskId(0),
+                    input_bytes: reps[0],
+                    age: Millis::from_ms(a),
+                }));
+            }
+            obs.transfers.extend(transfers.iter().map(|&t| Millis::from_ms(t)));
+            p.observe_interval(&obs);
+        }
+        if !completed_any {
+            // Policies 3–5 need a completion
+            obs.begin_interval();
+            obs.per_stage[2].completed.push(CompletedTaskObs {
+                task: TaskId(0),
+                input_bytes: reps[0],
+                exec_time: Millis::from_secs(90),
+            });
+            obs.per_stage[1].running.push(RunningTaskObs {
+                task: TaskId(0),
+                input_bytes: reps[0],
+                age: Millis::from_secs(30),
+            });
+            obs.transfers.push(Millis::from_secs(5));
+            p.observe_interval(&obs);
+        }
+        let transfer = p.transfer_estimate();
+        prop_assert!(transfer > Millis::ZERO);
+
+        // Policy 3 serves only blocked tasks, never a running one
+        let blocked = p.predict_occupancy(StageId(2), fresh, TaskStatus::UnstartedBlocked);
+        let mut seen = [false; 5];
+        seen[policy_number(blocked.policy) - 1] = true;
+        for stage in (0..3).map(StageId) {
+            for &bytes in reps.iter().chain([&fresh]) {
+                let ready = p.predict_task(stage, bytes, TaskStatus::UnstartedReady);
+                let est = ready.exec_time.as_ms();
+                let probes = [0, est.saturating_sub(1), est, est + 1]
+                    .into_iter()
+                    .chain(ages.iter().copied());
+                for age in probes.map(Millis::from_ms) {
+                    let direct = p.predict_occupancy(stage, bytes, TaskStatus::Running { age });
+                    prop_assert_eq!(ready.running_occupancy(age, transfer), direct);
+                    seen[policy_number(direct.policy) - 1] = true;
+                }
+            }
+        }
+        prop_assert_eq!(seen, [true; 5], "policies reached");
     }
 }

@@ -171,8 +171,6 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     /// Ready tasks popped from the scheduler that currently fit no
     /// instance's free memory; retried first (in pop order) each dispatch.
     mem_blocked: Vec<TaskId>,
-    /// Non-terminated instance ids, ascending.
-    active_ids: std::collections::BTreeSet<u32>,
     /// Running instances with at least one free slot, ascending — the
     /// dispatch loop pulls the minimum instead of scanning every instance
     /// ever launched.
@@ -358,7 +356,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             mem_peak: vec![0; n],
             memory_active: false,
             mem_blocked: Vec::new(),
-            active_ids: std::collections::BTreeSet::new(),
             dispatchable: std::collections::BTreeSet::new(),
             count_launching: 0,
             count_running: 0,
@@ -629,6 +626,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.count_launching -= 1;
         self.count_running += 1;
         self.dispatchable.insert(id.0);
+        self.snapshot_scratch.note_instance(id);
         self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
         self.schedule_failure(id);
         self.schedule_eviction(id);
@@ -759,6 +757,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             ..
         } = self.task_run[task.index()];
         self.slot_arena.set(instance, slot as usize, None);
+        self.snapshot_scratch.note_instance(instance);
         let inst = &mut self.instances[instance.index()];
         inst.occupied -= 1;
         if inst.is_running() {
@@ -872,6 +871,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             ..
         } = self.task_run[task.index()];
         self.slot_arena.set(instance, slot as usize, None);
+        self.snapshot_scratch.note_instance(instance);
         let inst = &mut self.instances[instance.index()];
         inst.occupied -= 1;
         if inst.is_running() {
@@ -971,11 +971,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 &self.instances,
                 &self.instance_family,
                 &self.slot_arena,
-                if self.naive {
-                    None
-                } else {
-                    Some(&self.active_ids)
-                },
+                self.naive,
                 &self.new_completions,
                 &self.interval_transfers,
                 self.interval_ooms,
@@ -1092,6 +1088,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                         self.count_running -= 1;
                         self.count_draining += 1;
                         self.dispatchable.remove(&id.0);
+                        self.snapshot_scratch.note_instance(id);
                         self.instance_epochs[id.index()] += 1;
                         let epoch = self.instance_epochs[id.index()];
                         self.queue.push(
@@ -1174,8 +1171,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             charge_start,
             at: self.clock,
         };
-        self.active_ids.remove(&id.0);
         self.dispatchable.remove(&id.0);
+        self.snapshot_scratch.note_instance(id);
         self.instance_epochs[id.index()] += 1;
         let units = if forgive_partial && !self.config.mutation_bill_eviction_grace {
             Instance::units_billed_forgiven(charge_start, self.clock, self.config.charging_unit)
@@ -1399,6 +1396,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
         let occupancy = t_in + exec + t_out;
         self.slot_arena.set(instance, slot as usize, Some(task));
+        self.snapshot_scratch.note_instance(instance);
         let inst = &mut self.instances[instance.index()];
         inst.occupied += 1;
         if inst.occupied >= self.slot_arena.width_of(instance) {
@@ -1496,8 +1494,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             InstanceState::Launching { .. } => self.count_launching += 1,
             _ => unreachable!("instances are born Launching or Running"),
         }
-        self.active_ids.insert(id.0);
         self.instances.push(Instance::new(id, state));
+        self.snapshot_scratch.note_instance(id);
         self.slot_arena
             .add_instance_with(self.families[family as usize].slots as usize);
         self.instance_epochs.push(0);
@@ -1635,8 +1633,10 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 });
             }
         }
-        self.active_ids.clear();
         self.dispatchable.clear();
+        // every row goes: the instances above are all terminated now
+        self.snapshot_scratch.instances.clear();
+        self.snapshot_scratch.clear_instance_marks();
         self.note_pool_change();
     }
 
@@ -1747,11 +1747,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         debug_assert_eq!(self.count_launching, launching, "launching counter drift");
         debug_assert_eq!(self.count_running, running, "running counter drift");
         debug_assert_eq!(self.count_draining, draining, "draining counter drift");
-        debug_assert_eq!(
-            self.active_ids.len() as u32,
-            launching + running + draining,
-            "active id set drift"
-        );
         for &i in &self.dispatchable {
             let inst = &self.instances[i as usize];
             debug_assert!(
@@ -1870,15 +1865,19 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 }
 
 /// Persistent backing store for the per-tick [`MonitorSnapshot`]. All Vecs
-/// (including the inner `InstanceView::tasks` Vecs) keep their capacity
-/// across ticks, so after warm-up the monitor phase allocates nothing.
+/// keep their capacity across ticks, so after warm-up the monitor phase
+/// allocates nothing.
 ///
 /// Task rows persist across ticks and are maintained incrementally: a row is
 /// re-rendered only when its task changed phase since the last tick (the
 /// `dirty` list), when it first becomes visible, or when its task is running
 /// (its ages move with the clock; the dense `running` list holds exactly
-/// those). The per-tick monitor cost therefore tracks what changed plus what
-/// runs, not every task ever arrived. The naive core rebuilds every row.
+/// those). Instance rows persist the same way: one row per non-terminated
+/// instance, in id order, re-rendered only when its instance was marked in
+/// `dirty_instances` (launch, boot, dispatch, finish, OOM, drain,
+/// termination). The per-tick monitor cost therefore tracks what changed plus
+/// what runs, not every task ever arrived nor every instance in the pool. The
+/// naive core rebuilds every row.
 #[derive(Default)]
 struct SnapshotScratch {
     tasks: Vec<TaskView>,
@@ -1889,11 +1888,15 @@ struct SnapshotScratch {
     running: Vec<(TaskId, RunInfo)>,
     /// Per-task index into `running`; meaningful while the task runs.
     running_pos: Vec<u32>,
-    /// Overwritten in place; only `instances[..instances_len]` is live. Slots
-    /// past the logical length are kept so a shrinking pool doesn't drop the
-    /// inner task-Vec capacity it will need when the pool grows again.
+    /// One row per non-terminated instance, ascending by id.
     instances: Vec<InstanceView>,
-    instances_len: usize,
+    /// Instances whose row may differ from a fresh render since the last
+    /// build, each listed once: a launched instance gains its row, a
+    /// terminated one loses it, any other is re-rendered in place.
+    dirty_instances: Vec<InstanceId>,
+    /// Per instance id: listed in `dirty_instances`. A busy pool changes the
+    /// same instance many times per interval; it is re-rendered once.
+    instance_listed: Vec<bool>,
     ready_order: Vec<TaskId>,
 }
 
@@ -1919,6 +1922,27 @@ impl SnapshotScratch {
         if new == TaskPhase::Running {
             self.running_pos[task.index()] = self.running.len() as u32;
             self.running.push((task, *run));
+        }
+    }
+
+    /// Record a change to what instance `id`'s row shows (lifecycle state,
+    /// slot contents, free-slot count). Every such change in the engine
+    /// calls this, so the next build re-renders exactly the rows that
+    /// changed.
+    fn note_instance(&mut self, id: InstanceId) {
+        let i = id.index();
+        if i >= self.instance_listed.len() {
+            self.instance_listed.resize(i + 1, false);
+        }
+        if !std::mem::replace(&mut self.instance_listed[i], true) {
+            self.dirty_instances.push(id);
+        }
+    }
+
+    /// Empty the instance dirty list (after a build, or at teardown).
+    fn clear_instance_marks(&mut self) {
+        for id in self.dirty_instances.drain(..) {
+            self.instance_listed[id.index()] = false;
         }
     }
 }
@@ -1954,6 +1978,43 @@ fn running_view(run: &RunInfo, now: Millis) -> TaskView {
     }
 }
 
+/// The policy-visible view of a non-terminated instance.
+fn render_instance(inst: &Instance, arena: &SlotArena, family: FamilyId) -> InstanceView {
+    InstanceView {
+        id: inst.id,
+        state: state_view(inst.state),
+        tasks: arena.tasks_of(inst.id).collect(),
+        free_slots: arena.width_of(inst.id) - inst.occupied,
+        family,
+    }
+}
+
+/// [`render_instance`] into an existing row, reusing its task Vec.
+fn render_instance_into(
+    view: &mut InstanceView,
+    inst: &Instance,
+    arena: &SlotArena,
+    family: FamilyId,
+) {
+    view.id = inst.id;
+    view.state = state_view(inst.state);
+    view.free_slots = arena.width_of(inst.id) - inst.occupied;
+    view.family = family;
+    view.tasks.clear();
+    view.tasks.extend(arena.tasks_of(inst.id));
+}
+
+fn state_view(state: InstanceState) -> InstanceStateView {
+    match state {
+        InstanceState::Launching { ready_at } => InstanceStateView::Launching { ready_at },
+        InstanceState::Running { charge_start } => InstanceStateView::Running { charge_start },
+        InstanceState::Draining { terminate_at, .. } => {
+            InstanceStateView::Draining { terminate_at }
+        }
+        InstanceState::Terminated { .. } => unreachable!("terminated instances have no row"),
+    }
+}
+
 /// Build the sanitized policy-visible snapshot from disjoint engine fields
 /// into `scratch` (free function so `policy` can be borrowed mutably
 /// alongside it). `task_states` is the arrived-workflow prefix of the global
@@ -1973,7 +2034,7 @@ fn build_snapshot<'a, S: Scheduler>(
     instances: &[Instance],
     instance_family: &[FamilyId],
     arena: &SlotArena,
-    active_ids: Option<&std::collections::BTreeSet<u32>>,
+    naive: bool,
     new_completions: &'a [CompletionView],
     interval_transfers: &'a [Millis],
     interval_ooms: u32,
@@ -1982,13 +2043,23 @@ fn build_snapshot<'a, S: Scheduler>(
     spent_milli: u64,
 ) -> MonitorSnapshot<'a> {
     let visible = phases.len();
-    // active_ids is withheld exactly when the engine runs naive
-    let naive = active_ids.is_none();
     let render = |i: usize| render_task(i, phases[i], now, runs, records);
+    let family_of = |i: &Instance| instance_family[i.id.index()];
+    let rows = &mut scratch.instances;
     if naive {
-        // the historical full rebuild of every visible row
+        // the historical full rebuild of every visible row and every
+        // instance row, from a scan over every instance ever launched
         scratch.tasks.clear();
         scratch.tasks.extend((0..visible).map(render));
+        let mut live = 0;
+        for inst in instances.iter().filter(|i| i.is_active()) {
+            match rows.get_mut(live) {
+                Some(view) => render_instance_into(view, inst, arena, family_of(inst)),
+                None => rows.push(render_instance(inst, arena, family_of(inst))),
+            }
+            live += 1;
+        }
+        rows.truncate(live);
     } else {
         // rows of newly arrived workflows, then rows that changed phase and
         // running rows, whose ages move with the clock
@@ -2000,51 +2071,28 @@ fn build_snapshot<'a, S: Scheduler>(
         for (t, run) in &scratch.running {
             scratch.tasks[t.index()] = running_view(run, now);
         }
+        // instance rows: only those marked since the last build; a
+        // terminated instance's row is dropped in one pass at the end
+        let mut terminated = false;
+        for &id in &scratch.dirty_instances {
+            let inst = &instances[id.index()];
+            match rows.binary_search_by_key(&id, |v| v.id) {
+                Ok(r) if inst.is_active() => {
+                    render_instance_into(&mut rows[r], inst, arena, family_of(inst))
+                }
+                Ok(_) => terminated = true,
+                Err(r) if inst.is_active() => {
+                    rows.insert(r, render_instance(inst, arena, family_of(inst)))
+                }
+                Err(_) => {} // launched and terminated since the last build
+            }
+        }
+        if terminated {
+            rows.retain(|v| instances[v.id.index()].is_active());
+        }
     }
     scratch.dirty.clear();
-
-    let mut live = 0usize;
-    let mut emit_instance = |i: &Instance| {
-        let state = match i.state {
-            InstanceState::Launching { ready_at } => InstanceStateView::Launching { ready_at },
-            InstanceState::Running { charge_start } => InstanceStateView::Running { charge_start },
-            InstanceState::Draining { terminate_at, .. } => {
-                InstanceStateView::Draining { terminate_at }
-            }
-            InstanceState::Terminated { .. } => unreachable!(),
-        };
-        let free_slots = arena.width_of(i.id) - i.occupied;
-        let family = instance_family[i.id.index()];
-        if let Some(view) = scratch.instances.get_mut(live) {
-            view.id = i.id;
-            view.state = state;
-            view.free_slots = free_slots;
-            view.family = family;
-            view.tasks.clear();
-            view.tasks.extend(arena.tasks_of(i.id));
-        } else {
-            scratch.instances.push(InstanceView {
-                id: i.id,
-                state,
-                tasks: arena.tasks_of(i.id).collect(),
-                free_slots,
-                family,
-            });
-        }
-        live += 1;
-    };
-    match active_ids {
-        // indexed path: iterate live ids (ascending, same order as the scan)
-        Some(ids) => ids
-            .iter()
-            .for_each(|&i| emit_instance(&instances[i as usize])),
-        // naive path: the historical every-instance-ever filter scan
-        None => instances
-            .iter()
-            .filter(|i| i.is_active())
-            .for_each(&mut emit_instance),
-    }
-    scratch.instances_len = live;
+    scratch.clear_instance_marks();
 
     // memory-parked tasks lead (they retry ahead of the scheduler), then
     // the scheduler's own order; empty prefix on the memory-blind path
@@ -2076,6 +2124,17 @@ fn build_snapshot<'a, S: Scheduler>(
             ready_rows,
             "scheduler length drift"
         );
+        let mut active = instances.iter().filter(|i| i.is_active());
+        for row in &scratch.instances {
+            let inst = active.next().expect("instance row without a live instance");
+            debug_assert_eq!(
+                *row,
+                render_instance(inst, arena, family_of(inst)),
+                "stale instance row {}",
+                inst.id
+            );
+        }
+        debug_assert!(active.next().is_none(), "live instance without a row");
     }
 
     MonitorSnapshot {
@@ -2085,7 +2144,7 @@ fn build_snapshot<'a, S: Scheduler>(
         done_prefix: done_prefix.min(visible),
         naive,
         tasks: &scratch.tasks,
-        instances: &scratch.instances[..scratch.instances_len],
+        instances: &scratch.instances,
         new_completions,
         interval_transfers,
         interval_ooms,
