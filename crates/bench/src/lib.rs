@@ -1,29 +1,17 @@
-//! Shared plumbing for the table/figure binaries that sit outside the
-//! campaign runner.
+//! Contract benches, criterion microbenches and the peak-RSS probe.
 //!
-//! The campaign-backed figures (Figures 2, 3, 5 and 6, the headline claims,
-//! the ablations, policy usage, the §IV-F overhead study and the scheduler,
-//! spot and budget sweeps) regenerate through `wire campaign <target>`. The
-//! binaries here cover the rest:
+//! Every paper artifact (Table I, Figures 2–6, the headline claims, the
+//! ablations and sweeps, the pool timelines and the offline paired
+//! analysis) regenerates through `wire campaign <target>`. The binaries
+//! here check contracts that need a timed run:
 //!
-//! | binary     | artifact | content |
-//! |------------|----------|---------|
-//! | `table1`   | Table I  | workload characteristics, paper vs generated |
-//! | `fig4`     | Figure 4 | prediction-error CDFs per workload/class |
-//! | `timeline` | Figs 5/6 | pool-size timelines, one run per setting |
-//! | `analyze`  | Figure 5 | offline paired analysis of `results/campaign.csv` |
-//! | `perf`     | —        | MAPE plan-tick cost trajectory |
-//! | `obs`      | —        | streaming-observability overhead contract |
-//! | `traffic`  | —        | service-scale traffic throughput contract |
+//! | binary    | content |
+//! |-----------|---------|
+//! | `obs`     | streaming-observability overhead contract |
+//! | `traffic` | service-scale traffic throughput contract |
 //!
-//! Binaries print aligned tables to stdout and drop CSV/JSON files under
-//! `results/` (through `wire_campaign::figures`). Pass `--quick` for a
-//! reduced sweep where a binary offers one.
-
-/// `--quick` flag: smaller sweeps for CI-ish runs.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
+//! Each writes its evidence to `results/BENCH_*.json` and exits non-zero
+//! when a documented budget is exceeded.
 
 /// Best-effort peak-RSS probe: the process high-water mark (`VmHWM`) from
 /// `/proc/self/status` on Linux, `None` where the file or field is absent.

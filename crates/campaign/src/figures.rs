@@ -140,7 +140,7 @@ impl FigureRunner {
     }
 
     /// `quick` under `--quick`, `full` otherwise.
-    fn by_size<T>(&self, quick: T, full: T) -> T {
+    pub(crate) fn by_size<T>(&self, quick: T, full: T) -> T {
         if self.quick {
             quick
         } else {
@@ -236,7 +236,7 @@ impl FigureRunner {
     }
 
     /// Figure 5 — resource cost across settings and charging units, plus the
-    /// archived raw campaign CSV the `analyze` binary reloads.
+    /// archived raw campaign CSV [`FigureRunner::analyze`] reloads.
     pub fn fig5(&self) -> FigureOutcome {
         let mut outcome = FigureOutcome::default();
         let grid = self.paper_grid();

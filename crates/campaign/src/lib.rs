@@ -22,10 +22,13 @@
 //! * [`runner`] — cache probing, pool dispatch, ordered merge, and the
 //!   [`CampaignReport`] bookkeeping (executed/hit/corrupt counters);
 //! * [`figures`] — the paper's figure/table regenerations (`wire campaign
-//!   <target>`) as thin front-ends over [`run_campaign`].
+//!   <target>`) as thin front-ends over [`run_campaign`];
+//! * `direct` — the `wire campaign` targets that bypass the cell cache
+//!   (Table I, Figure 4, pool timelines, offline paired analysis).
 
 pub mod cache;
 pub mod cell;
+mod direct;
 pub mod figures;
 pub mod runner;
 pub mod traffic;

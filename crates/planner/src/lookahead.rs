@@ -66,23 +66,6 @@ impl Upcoming {
     pub fn occupancies(&self) -> &[Millis] {
         &self.occ
     }
-
-    /// `c_j` of one instance, if it was in the snapshot (binary search over
-    /// the id-ordered rows).
-    pub fn restart_cost_of(&self, id: InstanceId) -> Option<Millis> {
-        row_lookup(&self.restart_cost, id)
-    }
-
-    /// Projected busy time of one instance, if it was in the snapshot.
-    pub fn projected_busy_of(&self, id: InstanceId) -> Option<Millis> {
-        row_lookup(&self.projected_busy, id)
-    }
-}
-
-fn row_lookup(rows: &[(InstanceId, Millis)], id: InstanceId) -> Option<Millis> {
-    rows.binary_search_by_key(&id, |&(i, _)| i)
-        .ok()
-        .map(|r| rows[r].1)
 }
 
 /// A projected running task. (Completion times live in the event queue; the
@@ -432,6 +415,25 @@ mod tests {
 
     fn mins(m: u64) -> Millis {
         Millis::from_mins(m)
+    }
+
+    impl Upcoming {
+        /// `c_j` of one instance, if it was in the snapshot (binary search
+        /// over the id-ordered rows).
+        fn restart_cost_of(&self, id: InstanceId) -> Option<Millis> {
+            row_lookup(&self.restart_cost, id)
+        }
+
+        /// Projected busy time of one instance, if it was in the snapshot.
+        fn projected_busy_of(&self, id: InstanceId) -> Option<Millis> {
+            row_lookup(&self.projected_busy, id)
+        }
+    }
+
+    fn row_lookup(rows: &[(InstanceId, Millis)], id: InstanceId) -> Option<Millis> {
+        rows.binary_search_by_key(&id, |&(i, _)| i)
+            .ok()
+            .map(|r| rows[r].1)
     }
 
     /// chain of `n` tasks in one stage

@@ -81,9 +81,17 @@ pub fn parse_trace(name: &str, text: &str) -> Result<(Workflow, ExecProfile), Tr
                 .parse::<u64>()
                 .map_err(|e| TraceError::Parse(lineno + 1, format!("bad {what}: {e}")))
         };
+        // ids are u32 and dense, so the largest valid one is below u32::MAX
+        let parse_id = |s: Option<&str>, what: &str| -> Result<u32, TraceError> {
+            let id = parse_u64(s, what)?;
+            u32::try_from(id)
+                .ok()
+                .filter(|&id| id < u32::MAX)
+                .ok_or_else(|| TraceError::Parse(lineno + 1, format!("{what} {id} out of range")))
+        };
         match kind {
             "task" => {
-                let id = parse_u64(fields.next(), "task id")? as u32;
+                let id = parse_id(fields.next(), "task id")?;
                 let stage = fields
                     .next()
                     .ok_or_else(|| TraceError::Parse(lineno + 1, "missing stage name".into()))?
@@ -107,8 +115,8 @@ pub fn parse_trace(name: &str, text: &str) -> Result<(Workflow, ExecProfile), Tr
                 }
             }
             "dep" => {
-                let from = parse_u64(fields.next(), "from id")? as u32;
-                let to = parse_u64(fields.next(), "to id")? as u32;
+                let from = parse_id(fields.next(), "from id")?;
+                let to = parse_id(fields.next(), "to id")?;
                 deps.push((from, to));
             }
             other => {
@@ -292,6 +300,22 @@ dep 1 2
             parse_trace("x", "task 0 m 1 1 1\ntask 0 m 1 1 1").unwrap_err(),
             TraceError::DuplicateTask(0)
         );
+    }
+
+    #[test]
+    fn rejects_out_of_range_ids() {
+        // an id past u32 must not alias a smaller one, and u32::MAX must
+        // not overflow the density check
+        for text in [
+            "task 4294967296 m 1 1 1",
+            "task 4294967295 m 1 1 1",
+            "task 0 m 1 1 1\ndep 0 4294967296",
+        ] {
+            assert!(
+                matches!(parse_trace("x", text), Err(TraceError::Parse(_, _))),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! wire export <workload> [--seed N]           dump a replayable trace to stdout
 //! wire replay <trace-file> [options]          run a trace file
 //! wire dot <workload> [--seed N]              Graphviz DOT of the DAG
-//! wire campaign <targets...> [options]        regenerate figures (sharded + cached)
+//! wire campaign <targets...> [options]        regenerate figures and tables (sharded + cached)
 //! wire traffic [options]                      day-of-cloud-traffic simulation
 //! wire report [snapshot.json]                 render the campaign observability snapshot
 //!
@@ -472,14 +472,21 @@ fn real_main() -> Result<(), String> {
     }
 }
 
-/// `wire campaign [targets...] [flags]` — regenerate paper figures through
-/// the sharded, cached campaign runner (`wire-campaign`).
+/// `wire campaign [targets...] [flags]` — regenerate the paper's figures
+/// and tables, through the sharded, cached campaign runner
+/// (`wire-campaign`) wherever a target runs simulation cells.
 fn run_campaign_cmd(args: &[String]) -> Result<(), String> {
-    const TARGETS: [&str; 11] = [
+    // `all` runs these in order: `analyze` reads the campaign.csv `fig5`
+    // writes
+    const TARGETS: [&str; 15] = [
+        "table1",
         "fig2",
         "fig3",
+        "fig4",
         "fig5",
+        "analyze",
         "fig6",
+        "timeline",
         "headline",
         "ablation",
         "policies",
@@ -554,10 +561,14 @@ fn run_campaign_cmd(args: &[String]) -> Result<(), String> {
     let mut total = wire_campaign::FigureOutcome::default();
     for t in &targets {
         let outcome = match t.as_str() {
+            "table1" => runner.table1(),
             "fig2" => runner.fig2(),
             "fig3" => runner.fig3(),
+            "fig4" => runner.fig4(),
             "fig5" => runner.fig5(),
+            "analyze" => runner.analyze()?,
             "fig6" => runner.fig6(),
+            "timeline" => runner.timeline(),
             "headline" => runner.headline(),
             "ablation" => runner.ablation(),
             "policies" => runner.policies(),
@@ -582,12 +593,16 @@ fn run_campaign_cmd(args: &[String]) -> Result<(), String> {
     }
     // the merged streaming-observability aggregate for everything the
     // campaign touched; canonical bytes, so reruns at any thread count or
-    // cache state rewrite the identical file
-    let path = wire_campaign::save_obs_snapshot(&total.obs);
-    eprintln!(
-        "campaign: observability snapshot → {} (render with `wire report`)",
-        path.display()
-    );
+    // cache state rewrite the identical file. Targets that ran no cells
+    // (table1, fig4, timeline, analyze) have nothing to record, so they
+    // leave the last snapshot alone.
+    if total.cells > 0 {
+        let path = wire_campaign::save_obs_snapshot(&total.obs);
+        eprintln!(
+            "campaign: observability snapshot → {} (render with `wire report`)",
+            path.display()
+        );
+    }
     if bad > 0 {
         return Err(format!("{bad} invariant violation(s) — see above"));
     }
@@ -700,7 +715,8 @@ fn print_usage() {
     println!("  wire replay <trace.txt> [--policy P] [--u MIN]");
     println!("  wire dot <workload> [--seed N]         > dag.dot");
     println!(
-        "  wire campaign <fig2|fig3|fig5|fig6|headline|ablation|policies|overhead|schedulers|spot|budget|all>...
+        "  wire campaign <table1|fig2|fig3|fig4|fig5|analyze|fig6|timeline|headline|ablation|
+                 policies|overhead|schedulers|spot|budget|all>...
                       [--threads N] [--force] [--no-cache] [--check] [--quick] [--scheduler S]"
     );
     println!(
