@@ -258,11 +258,20 @@ fn analyze_file(path: &Path) -> Result<(), String> {
         ) else {
             continue;
         };
+        // a side with all-zero cost or makespan has no meaningful ratio
+        let saving = 1.0 / cost.mean_ratio;
+        if !saving.is_finite() || !mk.mean_ratio.is_finite() {
+            return Err(format!(
+                "{}: {w} at u={u}: non-finite paired ratio (cost {saving}, makespan {})",
+                path.display(),
+                mk.mean_ratio
+            ));
+        }
         println!(
             "{:<14} {:>8} {:>15.2}x {:>17.2}x {:>17.0}%",
             w,
             u,
-            1.0 / cost.mean_ratio.max(1e-9),
+            saving,
             mk.mean_ratio,
             100.0 * cost.frac_b_better
         );
@@ -298,6 +307,13 @@ mod tests {
             "not,a,campaign\n".to_string(),
             format!("{header}\nTPCH-6 S,wire,15,0,3"),
             format!("{header}\nTPCH-6 S,wire,fifteen,0,3,1,1,0,1,0"),
+            // well-formed, but a zero cost leaves no finite cost saving
+            format!(
+                "{header}\nTPCH-6 S,full-site,15,0,0,60,1,0,1,0\nTPCH-6 S,wire,15,0,3,60,1,0,1,0"
+            ),
+            format!(
+                "{header}\nTPCH-6 S,full-site,15,0,3,60,1,0,1,0\nTPCH-6 S,wire,15,0,0,60,1,0,1,0"
+            ),
         ] {
             std::fs::write(&path, &text).unwrap();
             assert!(analyze_file(&path).is_err(), "accepted {text:?}");

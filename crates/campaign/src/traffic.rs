@@ -56,10 +56,6 @@ pub struct TrafficSpec {
     pub ticks_per_tenant: u64,
     /// Root seed; tenant `i` derives its stream from `(seed, i)`.
     pub seed: u64,
-    /// Run every tenant on the naive (pre-indexed) engine core: legacy
-    /// binary-heap event queue plus full linear scans. Byte-identical
-    /// results, honest baseline wall time.
-    pub naive: bool,
 }
 
 impl TrafficSpec {
@@ -87,7 +83,6 @@ impl TrafficSpec {
             charging_unit: Millis::from_mins(5),
             ticks_per_tenant: (span_ms / 150_000).max(1),
             seed: 7,
-            naive: false,
         }
     }
 
@@ -171,12 +166,11 @@ impl TrafficReport {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "traffic: {} tenants x {} workflows ({} arrivals), mean gap {}, {} core",
+            "traffic: {} tenants x {} workflows ({} arrivals), mean gap {}",
             self.spec.tenants,
             self.spec.per_tenant,
             self.spec.total_arrivals(),
             self.spec.mean_gap,
-            if self.spec.naive { "naive" } else { "indexed" },
         );
         let _ = writeln!(s, "completed_workflows: {}", self.completed_workflows);
         let _ = writeln!(s, "charging_units: {}", self.charging_units);
@@ -212,7 +206,6 @@ pub fn run_tenant<R: Recorder>(
         .transfer(TransferModel::none())
         .policy(policy)
         .seed(spec.seed ^ (tenant as u64).wrapping_mul(TENANT_SALT))
-        .naive_core(spec.naive)
         .chaos(chaos);
     for at in spec.arrival_times(tenant) {
         session = session.submit_at(at, wf, prof);
@@ -340,22 +333,5 @@ mod tests {
             spec.total_arrivals() as u64,
             "every arrival completes"
         );
-    }
-
-    #[test]
-    fn naive_core_is_byte_identical() {
-        let spec = small_spec();
-        let indexed = run_traffic(&spec, Some(2));
-        let naive = run_traffic(
-            &TrafficSpec {
-                naive: true,
-                ..spec.clone()
-            },
-            Some(2),
-        );
-        assert_eq!(indexed.digest, naive.digest, "core swap moved the digest");
-        // the spec line differs ("naive core"), everything below it agrees
-        let tail = |r: &TrafficReport| r.render().lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(tail(&indexed), tail(&naive));
     }
 }

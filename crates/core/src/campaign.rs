@@ -79,7 +79,18 @@ pub fn to_csv(rows: &[FlatRun]) -> String {
     t.to_csv()
 }
 
-/// Parse a campaign CSV produced by [`to_csv`].
+/// Parse field `what` of CSV line `line`. Counts parse as unsigned
+/// integers, so `-1`, `2.9` or `nan` there is an error, never a cast.
+fn field<T: std::str::FromStr>(s: &str, what: &str, line: usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse()
+        .map_err(|e| format!("line {line}: bad {what}: {e}"))
+}
+
+/// Parse a campaign CSV produced by [`to_csv`]. Every float column must be
+/// finite.
 pub fn parse_csv(text: &str) -> Result<Vec<FlatRun>, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty csv")?;
@@ -99,21 +110,25 @@ pub fn parse_csv(text: &str) -> Result<Vec<FlatRun>, String> {
                 f.len()
             ));
         }
-        let parse = |s: &str, what: &str| -> Result<f64, String> {
-            s.parse::<f64>()
-                .map_err(|e| format!("line {}: bad {what}: {e}", i + 2))
+        let line = i + 2;
+        let float = |s: &str, what: &str| {
+            field::<f64>(s, what, line).and_then(|v| {
+                v.is_finite()
+                    .then_some(v)
+                    .ok_or(format!("line {line}: bad {what}: {v}"))
+            })
         };
         rows.push(FlatRun {
             workload: f[0].to_string(),
             setting: f[1].to_string(),
-            charging_unit_mins: parse(f[2], "u_mins")?,
-            repetition: parse(f[3], "rep")? as usize,
-            cost_units: parse(f[4], "cost")? as u64,
-            makespan_secs: parse(f[5], "makespan")?,
-            peak_instances: parse(f[6], "peak")? as u32,
-            restarts: parse(f[7], "restarts")? as u32,
-            busy_slot_secs: parse(f[8], "busy")?,
-            wasted_slot_secs: parse(f[9], "wasted")?,
+            charging_unit_mins: float(f[2], "u_mins")?,
+            repetition: field(f[3], "rep", line)?,
+            cost_units: field(f[4], "cost", line)?,
+            makespan_secs: float(f[5], "makespan")?,
+            peak_instances: field(f[6], "peak", line)?,
+            restarts: field(f[7], "restarts", line)?,
+            busy_slot_secs: float(f[8], "busy")?,
+            wasted_slot_secs: float(f[9], "wasted")?,
         });
     }
     Ok(rows)

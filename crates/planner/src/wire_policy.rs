@@ -264,13 +264,6 @@ impl WirePolicy {
     /// workflows arrive.
     fn fill_observations(obs: &mut IntervalObservations, snapshot: &MonitorSnapshot<'_>) {
         obs.ensure_stages(snapshot.total_stages());
-        if !snapshot.naive {
-            // touched-stage tracking: clearing and (in the predictor)
-            // advancing cost O(stages with data) per tick instead of
-            // O(stages ever seen) — the naive baseline keeps the historical
-            // dense path
-            obs.enable_sparse();
-        }
         obs.begin_interval();
         for c in snapshot.new_completions {
             let stage = snapshot.stage_of(c.task);
@@ -327,9 +320,14 @@ impl ScalingPolicy for WirePolicy {
         predictor.ensure_stages(total_stages);
 
         // Monitor → Analyze: ingest the interval and step the models.
-        let obs = self
-            .obs
-            .get_or_insert_with(|| IntervalObservations::with_stages(total_stages));
+        let obs = self.obs.get_or_insert_with(|| {
+            let mut obs = IntervalObservations::with_stages(total_stages);
+            // touched-stage tracking: clearing and (in the predictor)
+            // advancing cost O(stages with data) per tick instead of
+            // O(stages ever seen)
+            obs.enable_sparse();
+            obs
+        });
         Self::fill_observations(obs, snapshot);
         predictor.observe_interval(obs);
 

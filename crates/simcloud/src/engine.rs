@@ -59,8 +59,8 @@ impl std::error::Error for RunError {}
 
 /// Engine-internal per-task lifecycle tag. The per-phase payloads live in
 /// side arrays ([`Engine::task_unmet`], [`Engine::task_run`]) — an SoA split
-/// so the hot phase scans (naive snapshot rebuild, done-prefix advance,
-/// debug recounts) touch one byte per task.
+/// so the hot phase scans (done-prefix advance, debug recounts) touch one
+/// byte per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskPhase {
     Unready,
@@ -114,12 +114,6 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     policy: P,
     recorder: R,
     rng: StdRng,
-
-    /// Naive-core mode: legacy heap queue, linear dispatch/active scans, and
-    /// a zero `done_prefix` (full per-tick snapshot rebuild) — the honest
-    /// pre-optimization engine kept for differential benchmarks. Identical
-    /// observable results either way.
-    naive: bool,
 
     clock: Millis,
     queue: EventQueue,
@@ -235,14 +229,6 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
 #[cfg(debug_assertions)]
 const DEBUG_FULL_CHECK_EVERY: u64 = 1024;
 
-/// Naive-core default for engines not built through [`crate::Session`]:
-/// `WIRE_NAIVE_CORE=1` flips every run in the process to the legacy heap +
-/// linear-scan core (read once; the Session builder overrides per session).
-fn naive_core_default() -> bool {
-    static NAIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *NAIVE.get_or_init(|| std::env::var("WIRE_NAIVE_CORE").is_ok_and(|v| v == "1"))
-}
-
 impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     /// Construct a multi-workflow engine from `(submitted_at, workflow,
     /// profile)` triples; the caller supplies the scheduler via
@@ -305,7 +291,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             stage_base += wf.num_stages() as u32;
         }
         let n = task_base as usize;
-        let naive = naive_core_default();
         let families = config.resolved_families();
         let fam_multi = families.len() > 1;
         let mut ready = make_scheduler(n, stage_base as usize);
@@ -328,13 +313,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             policy,
             recorder,
             rng: StdRng::seed_from_u64(seed),
-            naive,
             clock: Millis::ZERO,
-            queue: if naive {
-                EventQueue::legacy_heap()
-            } else {
-                EventQueue::new()
-            },
+            queue: EventQueue::new(),
             task_phase: vec![TaskPhase::Unready; n],
             task_unmet,
             task_run: vec![RunInfo::default(); n],
@@ -390,19 +370,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         })
     }
 
-    /// Switch this engine onto the naive (pre-optimization) core: legacy
-    /// binary-heap event queue, linear dispatch and pool scans, full
-    /// per-tick snapshot rebuilds. Results are identical either way; the
-    /// mode exists as the in-binary baseline for throughput benchmarks.
-    /// Must be called before `run` (the queue is rebuilt empty).
+    /// Compatibility stub: the engine has one core and this selects
+    /// nothing. Only `naive == false` is accepted. It is deleted together
+    /// with its last callers, listed under wirebench in ROADMAP item 2.
+    #[doc(hidden)]
     pub fn naive_core(&mut self, naive: bool) {
-        debug_assert!(self.queue.is_empty(), "naive_core must precede run()");
-        self.naive = naive;
-        self.queue = if naive {
-            EventQueue::legacy_heap()
-        } else {
-            EventQueue::new()
-        };
+        assert!(!naive, "the naive engine core has been removed");
     }
 
     /// Attach a scripted chaos [`FaultPlan`] (builder-style; see
@@ -956,9 +929,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         };
         let (plan, controller_elapsed) = {
             let visible = self.arrived_tasks();
-            // naive mode reports no prefix: policies and the scratch window
-            // rebuild fall back to full scans, as before the optimization
-            let done_prefix = if self.naive { 0 } else { self.done_prefix };
             let snapshot = build_snapshot(
                 &mut self.snapshot_scratch,
                 &self.slots[..self.arrived],
@@ -966,12 +936,11 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 self.clock,
                 &self.task_phase[..visible],
                 &self.task_run,
-                done_prefix,
+                self.done_prefix,
                 &self.records,
                 &self.instances,
                 &self.instance_family,
                 &self.slot_arena,
-                self.naive,
                 &self.new_completions,
                 &self.interval_transfers,
                 self.interval_ooms,
@@ -994,31 +963,11 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.interval_transfers.clear();
         self.interval_ooms = 0;
         if self.recorder.enabled() {
-            // Pool breakdown from the incremental lifecycle counters; naive
-            // mode recomputes it by scanning, as the pre-change engine did.
-            let (pool, launching, draining) = if self.naive {
-                let (mut p, mut l, mut d) = (0u32, 0u32, 0u32);
-                for inst in &self.instances {
-                    match inst.state {
-                        InstanceState::Running { .. } => p += 1,
-                        InstanceState::Launching { .. } => l += 1,
-                        InstanceState::Draining { .. } => d += 1,
-                        InstanceState::Terminated { .. } => {}
-                    }
-                }
-                (p, l, d)
-            } else {
-                (
-                    self.count_running,
-                    self.count_launching,
-                    self.count_draining,
-                )
-            };
             let running = self.snapshot_scratch.running.len() as u32;
             let ev = TelemetryEvent::MapeTick {
-                pool,
-                launching,
-                draining,
+                pool: self.count_running,
+                launching: self.count_launching,
+                draining: self.count_draining,
                 ready: (self.ready.len() + self.mem_blocked.len()) as u32,
                 running,
                 done: self.completions as u32,
@@ -1279,7 +1228,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     /// Greedily assign queued ready tasks to free slots (instances in id
     /// order; FIFO within priority class).
     ///
-    /// The indexed path pulls the minimum id from `dispatchable` per
+    /// Dispatch pulls the minimum id from `dispatchable` per
     /// assignment. This reproduces the historical ascending full scan
     /// exactly: during a dispatch no instance with a lower id can *gain* a
     /// free slot while staying Running (slots are only freed by `TaskDone`
@@ -1291,24 +1240,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             return;
         }
         if self.ready.is_empty() {
-            return;
-        }
-        if self.naive {
-            for i in 0..self.instances.len() {
-                let id = InstanceId(i as u32);
-                loop {
-                    if !self.instances[i].is_running() {
-                        break;
-                    }
-                    let Some(slot) = self.slot_arena.free_slot(id) else {
-                        break;
-                    };
-                    let Some(task) = self.pop_ready() else {
-                        return;
-                    };
-                    self.assign(task, id, slot as u32);
-                }
-            }
             return;
         }
         while let Some(&i) = self.dispatchable.iter().next() {
@@ -1513,28 +1444,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 
     /// Instances counting against the site quota (everything not terminated).
-    /// Naive mode recomputes by scanning, as the pre-change engine did.
     fn active_instances(&self) -> u32 {
-        if self.naive {
-            return self.instances.iter().filter(|i| i.is_active()).count() as u32;
-        }
         self.count_launching + self.count_running + self.count_draining
     }
 
     /// Instances currently usable or draining (the visible "pool size").
     fn usable_instances(&self) -> u32 {
-        if self.naive {
-            return self
-                .instances
-                .iter()
-                .filter(|i| {
-                    matches!(
-                        i.state,
-                        InstanceState::Running { .. } | InstanceState::Draining { .. }
-                    )
-                })
-                .count() as u32;
-        }
         self.count_running + self.count_draining
     }
 
@@ -1876,8 +1791,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 /// instance, in id order, re-rendered only when its instance was marked in
 /// `dirty_instances` (launch, boot, dispatch, finish, OOM, drain,
 /// termination). The per-tick monitor cost therefore tracks what changed plus
-/// what runs, not every task ever arrived nor every instance in the pool. The
-/// naive core rebuilds every row.
+/// what runs, not every task ever arrived nor every instance in the pool.
 #[derive(Default)]
 struct SnapshotScratch {
     tasks: Vec<TaskView>,
@@ -2034,7 +1948,6 @@ fn build_snapshot<'a, S: Scheduler>(
     instances: &[Instance],
     instance_family: &[FamilyId],
     arena: &SlotArena,
-    naive: bool,
     new_completions: &'a [CompletionView],
     interval_transfers: &'a [Millis],
     interval_ooms: u32,
@@ -2046,50 +1959,34 @@ fn build_snapshot<'a, S: Scheduler>(
     let render = |i: usize| render_task(i, phases[i], now, runs, records);
     let family_of = |i: &Instance| instance_family[i.id.index()];
     let rows = &mut scratch.instances;
-    if naive {
-        // the historical full rebuild of every visible row and every
-        // instance row, from a scan over every instance ever launched
-        scratch.tasks.clear();
-        scratch.tasks.extend((0..visible).map(render));
-        let mut live = 0;
-        for inst in instances.iter().filter(|i| i.is_active()) {
-            match rows.get_mut(live) {
-                Some(view) => render_instance_into(view, inst, arena, family_of(inst)),
-                None => rows.push(render_instance(inst, arena, family_of(inst))),
+    // rows of newly arrived workflows, then rows that changed phase and
+    // running rows, whose ages move with the clock
+    let kept = scratch.tasks.len();
+    scratch.tasks.extend((kept..visible).map(render));
+    for &t in &scratch.dirty {
+        scratch.tasks[t.index()] = render(t.index());
+    }
+    for (t, run) in &scratch.running {
+        scratch.tasks[t.index()] = running_view(run, now);
+    }
+    // instance rows: only those marked since the last build; a
+    // terminated instance's row is dropped in one pass at the end
+    let mut terminated = false;
+    for &id in &scratch.dirty_instances {
+        let inst = &instances[id.index()];
+        match rows.binary_search_by_key(&id, |v| v.id) {
+            Ok(r) if inst.is_active() => {
+                render_instance_into(&mut rows[r], inst, arena, family_of(inst))
             }
-            live += 1;
-        }
-        rows.truncate(live);
-    } else {
-        // rows of newly arrived workflows, then rows that changed phase and
-        // running rows, whose ages move with the clock
-        let kept = scratch.tasks.len();
-        scratch.tasks.extend((kept..visible).map(render));
-        for &t in &scratch.dirty {
-            scratch.tasks[t.index()] = render(t.index());
-        }
-        for (t, run) in &scratch.running {
-            scratch.tasks[t.index()] = running_view(run, now);
-        }
-        // instance rows: only those marked since the last build; a
-        // terminated instance's row is dropped in one pass at the end
-        let mut terminated = false;
-        for &id in &scratch.dirty_instances {
-            let inst = &instances[id.index()];
-            match rows.binary_search_by_key(&id, |v| v.id) {
-                Ok(r) if inst.is_active() => {
-                    render_instance_into(&mut rows[r], inst, arena, family_of(inst))
-                }
-                Ok(_) => terminated = true,
-                Err(r) if inst.is_active() => {
-                    rows.insert(r, render_instance(inst, arena, family_of(inst)))
-                }
-                Err(_) => {} // launched and terminated since the last build
+            Ok(_) => terminated = true,
+            Err(r) if inst.is_active() => {
+                rows.insert(r, render_instance(inst, arena, family_of(inst)))
             }
+            Err(_) => {} // launched and terminated since the last build
         }
-        if terminated {
-            rows.retain(|v| instances[v.id.index()].is_active());
-        }
+    }
+    if terminated {
+        rows.retain(|v| instances[v.id.index()].is_active());
     }
     scratch.dirty.clear();
     scratch.clear_instance_marks();
@@ -2142,7 +2039,7 @@ fn build_snapshot<'a, S: Scheduler>(
         workflows,
         config,
         done_prefix: done_prefix.min(visible),
-        naive,
+        naive: false,
         tasks: &scratch.tasks,
         instances: &scratch.instances,
         new_completions,

@@ -3,31 +3,23 @@
 //! Events at equal timestamps are ordered by insertion sequence number, so a
 //! run is a pure function of (workflow, profile, config, seed).
 //!
-//! Two interchangeable implementations sit behind [`EventQueue`]:
-//!
-//! * [`EventQueue::new`] — a hierarchical timer wheel (8 levels × 64 slots,
-//!   covering 2^48 ms ≈ 8 900 years of virtual time, with a rare overflow
-//!   list beyond that). Push is O(1); pop is amortized O(1) because every
-//!   event cascades down at most once per level over its lifetime. Within
-//!   a bucket events are stored in insertion order, and level-0 buckets hold
-//!   exactly one timestamp, so the (time, seq) pop order of the old binary
-//!   heap is reproduced *exactly* — pinned by `tests/event_diff.rs`.
-//! * [`EventQueue::legacy_heap`] — the original
-//!   `BinaryHeap<Reverse<(Millis, seq, kind)>>`, kept as the differential
-//!   baseline and as the queue behind the engine's naive mode
-//!   (`WIRE_NAIVE_CORE=1`).
+//! [`EventQueue`] is a hierarchical timer wheel (8 levels × 64 slots,
+//! covering 2^48 ms ≈ 8 900 years of virtual time, with a rare overflow list
+//! beyond that). Push is O(1); pop is amortized O(1) because every event
+//! cascades down at most once per level over its lifetime. Within a bucket
+//! events are stored in insertion order, and level-0 buckets hold exactly
+//! one timestamp, so events pop in `(time, insertion seq)` order without
+//! storing a sequence number — pinned pop-for-pop against a binary-heap
+//! oracle by `tests/event_diff.rs`.
 //!
 //! ## Ordering contract
 //!
 //! `pop` returns events in nondecreasing time; events with equal timestamps
 //! come back in the exact order they were pushed, regardless of kind. The
-//! wheel may only be pushed at times `>= ` the time of the last popped event
-//! (the discrete-event invariant the engine already guarantees); the heap
-//! variant has no such restriction.
+//! queue may only be pushed at times `>= ` the time of the last popped event
+//! (the discrete-event invariant the engine already guarantees).
 
 use crate::instance::InstanceId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use wire_dag::{Millis, TaskId};
 
 /// Engine events. `epoch` fields implement cancellation: a stale event whose
@@ -73,10 +65,11 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// Total virtual-time span addressable by the wheel (2^48 ms).
 const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS);
 
-/// One queued event: (time in ms, insertion seq, payload).
-type Entry = (u64, u64, EventKind);
+/// One queued event: (time in ms, payload).
+type Entry = (u64, EventKind);
 
-/// Hierarchical timer wheel.
+/// Deterministic event queue: a hierarchical timer wheel; see the module
+/// docs for the ordering contract.
 ///
 /// `clock` trails the virtual time of the last activated bucket and only
 /// ever advances. An event at absolute time `t` lives at level
@@ -84,12 +77,12 @@ type Entry = (u64, u64, EventKind);
 /// highest 6-bit digit in which `t` still differs from the clock; its slot
 /// is that digit of `t`. Draining always takes the lowest nonempty level's
 /// lowest occupied slot: at level 0 the bucket holds exactly one timestamp
-/// and is emitted front-to-back (insertion order == seq order); at higher
-/// levels the clock first advances to the bucket's time prefix and the
-/// bucket's events are re-filed, which lands every one of them strictly
-/// below the drained level, so each event cascades at most `LEVELS` times.
+/// and is emitted front-to-back, in insertion order; at higher levels the
+/// clock first advances to the bucket's time prefix and the bucket's events
+/// are re-filed, which lands every one of them strictly below the drained
+/// level, so each event cascades at most `LEVELS` times.
 #[derive(Debug)]
-struct TimerWheel {
+pub struct EventQueue {
     /// Time prefix of the last activated bucket; never exceeds the time of
     /// any queued event.
     clock: u64,
@@ -115,9 +108,15 @@ struct TimerWheel {
     len: usize,
 }
 
-impl TimerWheel {
-    fn new() -> Self {
-        TimerWheel {
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventQueue {
+    pub fn new() -> Self {
+        EventQueue {
             clock: 0,
             buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
@@ -131,19 +130,20 @@ impl TimerWheel {
         }
     }
 
-    fn push(&mut self, t: u64, seq: u64, kind: EventKind) {
+    pub fn push(&mut self, at: Millis, kind: EventKind) {
+        let t = at.as_ms();
         self.len += 1;
         if self.cur_active && t == self.cur_time {
             // Same-time push while that timestamp is being emitted: append —
-            // its seq is larger than everything already in `cur`.
-            self.cur.push((t, seq, kind));
+            // it was pushed after everything already in `cur`.
+            self.cur.push((t, kind));
             return;
         }
-        self.file(t, seq, kind);
+        self.file(t, kind);
     }
 
     /// File an entry into its wheel bucket (or the overflow list).
-    fn file(&mut self, t: u64, seq: u64, kind: EventKind) {
+    fn file(&mut self, t: u64, kind: EventKind) {
         debug_assert!(t >= self.clock, "event scheduled in the past");
         let diff = t ^ self.clock;
         let level = if diff == 0 {
@@ -152,22 +152,22 @@ impl TimerWheel {
             (63 - diff.leading_zeros() as usize) / SLOT_BITS
         };
         if level >= LEVELS {
-            self.overflow.push((t, seq, kind));
+            self.overflow.push((t, kind));
             return;
         }
         let slot = ((t >> (SLOT_BITS * level)) & SLOT_MASK) as usize;
-        self.buckets[level * SLOTS + slot].push((t, seq, kind));
+        self.buckets[level * SLOTS + slot].push((t, kind));
         self.occupied[level] |= 1u64 << slot;
     }
 
-    fn pop(&mut self) -> Option<(u64, EventKind)> {
+    pub fn pop(&mut self) -> Option<(Millis, EventKind)> {
         loop {
             if self.cur_active {
                 if self.cur_pos < self.cur.len() {
-                    let (t, _, kind) = self.cur[self.cur_pos];
+                    let (t, kind) = self.cur[self.cur_pos];
                     self.cur_pos += 1;
                     self.len -= 1;
-                    return Some((t, kind));
+                    return Some((Millis::from_ms(t), kind));
                 }
                 self.cur.clear();
                 self.cur_pos = 0;
@@ -188,8 +188,8 @@ impl TimerWheel {
                     .expect("overflow nonempty");
                 self.clock = min_t & !(WHEEL_SPAN - 1);
                 let pending = std::mem::take(&mut self.overflow);
-                for (t, s, k) in pending {
-                    self.file(t, s, k);
+                for (t, k) in pending {
+                    self.file(t, k);
                 }
                 continue;
             };
@@ -212,16 +212,20 @@ impl TimerWheel {
                 self.clock = ((self.clock >> hi) << hi) | ((slot as u64) << lo);
                 std::mem::swap(&mut self.spill, &mut self.buckets[level * SLOTS + slot]);
                 for i in 0..self.spill.len() {
-                    let (t, s, k) = self.spill[i];
+                    let (t, k) = self.spill[i];
                     debug_assert!(t >= self.clock);
-                    self.file(t, s, k);
+                    self.file(t, k);
                 }
                 self.spill.clear();
             }
         }
     }
 
-    fn peek_time(&self) -> Option<u64> {
+    pub fn peek_time(&self) -> Option<Millis> {
+        self.peek_ms().map(Millis::from_ms)
+    }
+
+    fn peek_ms(&self) -> Option<u64> {
         if self.cur_active && self.cur_pos < self.cur.len() {
             return Some(self.cur_time);
         }
@@ -242,106 +246,13 @@ impl TimerWheel {
         }
         self.overflow.iter().map(|e| e.0).min()
     }
-}
-
-#[derive(Debug)]
-enum QueueImpl {
-    Wheel(TimerWheel),
-    Heap(BinaryHeap<Reverse<(Millis, u64, EventKindOrd)>>),
-}
-
-/// Deterministic event queue; see the module docs for the ordering contract.
-#[derive(Debug)]
-pub struct EventQueue {
-    seq: u64,
-    imp: QueueImpl,
-}
-
-/// `EventKind` carried through the heap; ordering on the wrapper tuple only
-/// uses (time, seq) — the unique `seq` means payloads never tie-break — but
-/// `BinaryHeap` requires `Ord`, so the payload gets the *trivial* order where
-/// everything compares (and equals) everything. That keeps `Eq`/`Ord`
-/// mutually consistent, unlike deriving `PartialEq` alongside an
-/// always-`Equal` `cmp`.
-#[derive(Debug, Clone, Copy)]
-struct EventKindOrd(EventKind);
-
-impl PartialEq for EventKindOrd {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for EventKindOrd {}
-
-impl PartialOrd for EventKindOrd {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventKindOrd {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventQueue {
-    /// Timer-wheel queue — the production implementation.
-    pub fn new() -> Self {
-        EventQueue {
-            seq: 0,
-            imp: QueueImpl::Wheel(TimerWheel::new()),
-        }
-    }
-
-    /// The original binary-heap queue, kept as the differential baseline and
-    /// the naive-mode engine core.
-    pub fn legacy_heap() -> Self {
-        EventQueue {
-            seq: 0,
-            imp: QueueImpl::Heap(BinaryHeap::new()),
-        }
-    }
-
-    pub fn push(&mut self, at: Millis, kind: EventKind) {
-        let s = self.seq;
-        self.seq += 1;
-        match &mut self.imp {
-            QueueImpl::Wheel(w) => w.push(at.as_ms(), s, kind),
-            QueueImpl::Heap(h) => h.push(Reverse((at, s, EventKindOrd(kind)))),
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<(Millis, EventKind)> {
-        match &mut self.imp {
-            QueueImpl::Wheel(w) => w.pop().map(|(t, k)| (Millis::from_ms(t), k)),
-            QueueImpl::Heap(h) => h.pop().map(|Reverse((t, _, k))| (t, k.0)),
-        }
-    }
-
-    pub fn peek_time(&self) -> Option<Millis> {
-        match &self.imp {
-            QueueImpl::Wheel(w) => w.peek_time().map(Millis::from_ms),
-            QueueImpl::Heap(h) => h.peek().map(|Reverse((t, _, _))| *t),
-        }
-    }
 
     pub fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Wheel(w) => w.len,
-            QueueImpl::Heap(h) => h.len(),
-        }
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -404,36 +315,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Millis::from_ms(3)));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-    }
-
-    /// Same scenarios against the legacy heap — the two variants share one
-    /// observable contract.
-    #[test]
-    fn legacy_heap_matches_contract() {
-        let mut q = EventQueue::legacy_heap();
-        q.push(Millis::from_ms(30), EventKind::MapeTick);
-        q.push(Millis::from_ms(10), EventKind::MapeTick);
-        assert_eq!(q.peek_time(), Some(Millis::from_ms(10)));
-        q.push(
-            Millis::from_ms(10),
-            EventKind::TaskDone {
-                task: TaskId(7),
-                epoch: 0,
-            },
-        );
-        assert_eq!(q.pop(), Some((Millis::from_ms(10), EventKind::MapeTick)));
-        assert_eq!(
-            q.pop(),
-            Some((
-                Millis::from_ms(10),
-                EventKind::TaskDone {
-                    task: TaskId(7),
-                    epoch: 0,
-                }
-            ))
-        );
-        assert_eq!(q.pop(), Some((Millis::from_ms(30), EventKind::MapeTick)));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -177,9 +177,10 @@ pub struct MonitorSnapshot<'a> {
     /// tasks above it, and the lookahead sizes its columns `tasks.len() −
     /// done_prefix`.
     pub done_prefix: usize,
-    /// The engine is running its naive (pre-indexing) core. Policy-side fast
-    /// paths should fall back to their dense historical equivalents so the
-    /// naive configuration stays an honest end-to-end baseline.
+    /// Compatibility stub: always `false`, the engine has one core. It is
+    /// deleted together with its last reader, listed under wirebench in
+    /// ROADMAP item 2.
+    #[doc(hidden)]
     pub naive: bool,
     /// Per-task view, indexed by `TaskId`.
     pub tasks: &'a [TaskView],

@@ -78,7 +78,6 @@ pub struct Session<'a, P: ScalingPolicy = HoldPolicy, R: Recorder = NoopRecorder
     seed: u64,
     submissions: Vec<(Millis, &'a Workflow, &'a ExecProfile)>,
     chaos: FaultPlan,
-    naive: Option<bool>,
     memory: Option<MemoryProfile>,
 }
 
@@ -95,7 +94,6 @@ impl<'a> Session<'a> {
             seed: 0,
             submissions: Vec::new(),
             chaos: FaultPlan::new(),
-            naive: None,
             memory: None,
         }
     }
@@ -133,7 +131,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
             seed: self.seed,
             submissions: self.submissions,
             chaos: self.chaos,
-            naive: self.naive,
             memory: self.memory,
         }
     }
@@ -148,7 +145,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
             seed: self.seed,
             submissions: self.submissions,
             chaos: self.chaos,
-            naive: self.naive,
             memory: self.memory,
         }
     }
@@ -179,16 +175,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
         self
     }
 
-    /// Force the naive (pre-indexed) engine core on or off for this run.
-    /// The naive core uses the legacy binary-heap event queue and full
-    /// linear scans; it must produce byte-identical results and exists as
-    /// the honest baseline for throughput benchmarks. Defaults to the
-    /// process-wide `WIRE_NAIVE_CORE` environment switch.
-    pub fn naive_core(mut self, naive: bool) -> Self {
-        self.naive = Some(naive);
-        self
-    }
-
     /// Submit a workflow at time zero.
     pub fn submit(self, wf: &'a Workflow, profile: &'a ExecProfile) -> Self {
         self.submit_at(Millis::ZERO, wf, profile)
@@ -214,9 +200,6 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
             self.recorder,
             move |num_tasks, num_stages| spec.build(num_tasks, num_stages, &sched_cfg),
         )?;
-        if let Some(naive) = self.naive {
-            engine.naive_core(naive);
-        }
         if let Some(memory) = &self.memory {
             engine = engine.with_memory(memory)?;
         }

@@ -1,5 +1,5 @@
-//! Differential property test pinning the timer-wheel [`EventQueue`] to the
-//! legacy binary-heap implementation pop-for-pop.
+//! Differential property test pinning the timer-wheel [`EventQueue`] to a
+//! binary-heap oracle pop-for-pop.
 //!
 //! The engine's determinism contract is that events pop in strict
 //! `(time, insertion seq)` order — same-timestamp events resolve by insertion
@@ -8,14 +8,46 @@
 //! identical timestamps and non-monotone push times.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wire_dag::{Millis, TaskId};
 use wire_simcloud::event::{EventKind, EventQueue};
 use wire_simcloud::InstanceId;
 
+/// The ordering contract stated directly: a min-heap on `(time, insertion
+/// seq)`, with payloads held aside by seq so they never take part in the
+/// order.
+#[derive(Default)]
+struct HeapOracle {
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    kinds: Vec<EventKind>,
+}
+
+impl HeapOracle {
+    fn push(&mut self, at: Millis, kind: EventKind) {
+        self.heap
+            .push(Reverse((at.as_ms(), self.kinds.len() as u64)));
+        self.kinds.push(kind);
+    }
+
+    fn pop(&mut self) -> Option<(Millis, EventKind)> {
+        let Reverse((t, seq)) = self.heap.pop()?;
+        Some((Millis::from_ms(t), self.kinds[seq as usize]))
+    }
+
+    fn peek_time(&self) -> Option<Millis> {
+        self.heap.peek().map(|Reverse((t, _))| Millis::from_ms(*t))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
 /// Decode a compact (variant, payload) pair into an event. Covers every
 /// variant so tie-breaks are exercised across heterogeneous payloads.
 fn kind(variant: u8, payload: u32) -> EventKind {
-    match variant % 8 {
+    match variant % 10 {
         0 => EventKind::InstanceReady {
             instance: InstanceId(payload),
         },
@@ -34,8 +66,47 @@ fn kind(variant: u8, payload: u32) -> EventKind {
             instance: InstanceId(payload),
             epoch: payload.wrapping_mul(3),
         },
-        _ => EventKind::ChaosFault { fault: payload },
+        7 => EventKind::ChaosFault { fault: payload },
+        8 => EventKind::SpotEvict {
+            instance: InstanceId(payload),
+            epoch: payload.rotate_right(8),
+        },
+        _ => EventKind::TaskOom {
+            task: TaskId(payload),
+            epoch: payload.wrapping_add(1),
+        },
     }
+}
+
+/// A scripted push/pop scenario with a same-time tie across variants: the
+/// wheel and the oracle both pop it in `(time, insertion)` order.
+#[test]
+fn wheel_and_oracle_share_the_contract() {
+    let task = EventKind::TaskDone {
+        task: TaskId(7),
+        epoch: 0,
+    };
+    let expected = [
+        (Millis::from_ms(10), EventKind::MapeTick),
+        (Millis::from_ms(10), task),
+        (Millis::from_ms(30), EventKind::MapeTick),
+    ];
+    let mut wheel = EventQueue::new();
+    let mut oracle = HeapOracle::default();
+    wheel.push(Millis::from_ms(30), EventKind::MapeTick);
+    oracle.push(Millis::from_ms(30), EventKind::MapeTick);
+    wheel.push(Millis::from_ms(10), EventKind::MapeTick);
+    oracle.push(Millis::from_ms(10), EventKind::MapeTick);
+    assert_eq!(wheel.peek_time(), Some(Millis::from_ms(10)));
+    assert_eq!(oracle.peek_time(), Some(Millis::from_ms(10)));
+    wheel.push(Millis::from_ms(10), task);
+    oracle.push(Millis::from_ms(10), task);
+    for want in expected {
+        assert_eq!(wheel.pop(), Some(want));
+        assert_eq!(oracle.pop(), Some(want));
+    }
+    assert_eq!(wheel.pop(), None);
+    assert_eq!(oracle.pop(), None);
 }
 
 /// One scripted step: push an event at `now + dt`, or pop once.
@@ -82,9 +153,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn wheel_matches_legacy_heap(ops in arb_ops()) {
+    fn wheel_matches_heap_oracle(ops in arb_ops()) {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::legacy_heap();
+        let mut heap = HeapOracle::default();
         // the engine never pushes into the past: pushes land at (latest
         // popped time) + dt, mirroring how the simulation clock advances
         let mut now = 0u64;
@@ -107,7 +178,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+            prop_assert_eq!(wheel.is_empty(), heap.len() == 0);
         }
         // drain both queues to the end: residual order must match too
         loop {

@@ -628,7 +628,6 @@ fn run_traffic_cmd(args: &[String]) -> Result<(), String> {
             "--arrivals" => {
                 spec = wire_campaign::TrafficSpec {
                     seed: spec.seed,
-                    naive: spec.naive,
                     ..wire_campaign::TrafficSpec::with_total(take("--arrivals")? as usize)
                 };
             }
@@ -639,11 +638,10 @@ fn run_traffic_cmd(args: &[String]) -> Result<(), String> {
             }
             "--seed" => spec.seed = take("--seed")?,
             "--threads" => threads = Some(take("--threads")? as usize),
-            "--naive" => spec.naive = true,
             other => {
                 return Err(format!(
                     "unknown traffic flag '{other}' (--arrivals N, --tenants N, \
-                     --per-tenant N, --mean-gap-secs S, --seed N, --threads N, --naive)"
+                     --per-tenant N, --mean-gap-secs S, --seed N, --threads N)"
                 ))
             }
         }
@@ -721,7 +719,7 @@ fn print_usage() {
     );
     println!(
         "  wire traffic [--arrivals N] [--tenants N] [--per-tenant N]
-                      [--mean-gap-secs S] [--seed N] [--threads N] [--naive]"
+                      [--mean-gap-secs S] [--seed N] [--threads N]"
     );
     println!("  wire report [snapshot.json]            render results/OBS_snapshot.json");
     println!();

@@ -2,7 +2,9 @@
 //! the archived campaign CSV (`wire campaign analyze`), replay traces
 //! (`wire replay`), campaign cache entries and the observability snapshot
 //! (`wire report`). Seeded truncations and byte flips of a valid file must
-//! come back as an error or a value, never as a panic.
+//! come back as an error or a value, never as a panic. A well-formed campaign
+//! row carrying an out-of-domain value must come back as an error naming its
+//! line, never as a silently cast number.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -86,6 +88,19 @@ fn obs_snapshot() -> &'static str {
     })
 }
 
+/// Well-formed values outside a count column's domain (unsigned integers).
+const BAD_COUNTS: [&str; 7] = [
+    "-1",
+    "2.9",
+    "nan",
+    "inf",
+    "1e3",
+    "-0.5",
+    "18446744073709551616",
+];
+/// Well-formed values outside a float column's domain (finite numbers).
+const BAD_FLOATS: [&str; 4] = ["nan", "NaN", "inf", "-inf"];
+
 /// FNV-1a, the cache's payload checksum: resealing a garbled payload under
 /// a matching header lets the damage reach the payload parser.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -101,6 +116,37 @@ proptest! {
     fn campaign_csv_decoder_never_panics((cut, flips) in damage()) {
         let bytes = garble(campaign_csv().as_bytes(), cut, &flips);
         let _ = parse_csv(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn campaign_csv_decoder_rejects_out_of_domain_values(
+        row in 0usize..4,
+        col in 2usize..10,
+        pick in 0usize..BAD_COUNTS.len(),
+    ) {
+        // u_mins, makespan, busy and wasted are floats; the rest are counts
+        let bad = match col {
+            2 | 5 | 8 | 9 => BAD_FLOATS[pick % BAD_FLOATS.len()],
+            _ => BAD_COUNTS[pick],
+        };
+        let valid = campaign_csv();
+        prop_assert!(parse_csv(&valid).is_ok());
+        let text: Vec<String> = valid
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                if i != row + 1 {
+                    return line.to_string();
+                }
+                let mut f: Vec<&str> = line.split(',').collect();
+                f[col] = bad;
+                f.join(",")
+            })
+            .collect();
+        let err = parse_csv(&text.join("\n"));
+        prop_assert!(err.is_err(), "accepted {bad:?} in column {col}: {err:?}");
+        let msg = err.unwrap_err();
+        prop_assert!(msg.starts_with(&format!("line {}:", row + 2)), "{msg}");
     }
 
     #[test]

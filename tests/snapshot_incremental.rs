@@ -7,10 +7,10 @@
 //! These sessions drive every phase-change site under a rank scheduler in a
 //! multi-workflow session — dispatch, completion, resubmission after a pool
 //! kill, spot eviction, OOM restart — plus frozen monitoring ticks, so the
-//! debug oracle sees each transition. Each run is also compared against the
-//! naive core, which rebuilds every row on every tick: a stale row can steer
-//! WIRE's controller differently, which this comparison sees in release
-//! builds too, though only the debug oracle catches every stale row.
+//! debug oracle sees each transition. That oracle is the check: it lives in
+//! the engine's `build_snapshot` under `cfg(debug_assertions)`, so it runs
+//! whenever this suite runs in the default (dev) test profile. A release
+//! run checks only the invariants and the task accounting below.
 
 use wire::core::experiment::{cloud_config_for, Setting};
 use wire::prelude::*;
@@ -86,7 +86,7 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn run(sc: &Scenario, spec: SchedulerSpec, naive: bool) -> RunResult {
+fn run(sc: &Scenario, spec: SchedulerSpec) -> RunResult {
     let seed = 5;
     let dags: Vec<_> = ENSEMBLE
         .iter()
@@ -102,8 +102,7 @@ fn run(sc: &Scenario, spec: SchedulerSpec, naive: bool) -> RunResult {
         .transfer(TransferModel::default())
         .policy(WirePolicy::default())
         .seed(seed)
-        .chaos(sc.plan.clone())
-        .naive_core(naive);
+        .chaos(sc.plan.clone());
     if let Some(peak) = sc.memory {
         let mem = MemoryProfile::uniform(total, 200, peak).unwrap();
         checker = checker.expect_memory(&mem);
@@ -130,11 +129,11 @@ fn run(sc: &Scenario, spec: SchedulerSpec, naive: bool) -> RunResult {
 }
 
 #[test]
-fn incremental_snapshot_matches_the_full_rebuild_through_every_transition() {
+fn incremental_snapshot_matches_a_fresh_render_through_every_transition() {
     for sc in scenarios() {
         for spec in [SchedulerSpec::Portfolio, SchedulerSpec::Heft] {
             let label = format!("{} / {}", sc.name, spec.tag());
-            let inc = run(&sc, spec, false);
+            let inc = run(&sc, spec);
             // each scenario must actually reach the transition it targets
             match sc.name {
                 "kill-storm" => assert!(inc.failures > 0 && inc.restarts > 0, "{label}"),
@@ -142,18 +141,6 @@ fn incremental_snapshot_matches_the_full_rebuild_through_every_transition() {
                 "oom-restarts" => assert!(inc.oom_restarts > 0, "{label}"),
                 _ => {}
             }
-            let full = run(&sc, spec, true);
-            assert_eq!(inc.makespan, full.makespan, "{label}: makespan");
-            assert_eq!(inc.charging_units, full.charging_units, "{label}: units");
-            assert_eq!(inc.cost_milli, full.cost_milli, "{label}: cost");
-            assert_eq!(inc.restarts, full.restarts, "{label}: restarts");
-            assert_eq!(inc.mape_iterations, full.mape_iterations, "{label}: ticks");
-            assert_eq!(inc.task_records, full.task_records, "{label}: task records");
-            assert_eq!(inc.instance_bills, full.instance_bills, "{label}: bills");
-            assert_eq!(
-                inc.pool_timeline, full.pool_timeline,
-                "{label}: pool timeline"
-            );
         }
     }
 }
@@ -170,8 +157,8 @@ fn blackout_scenario_actually_skips_ticks() {
         plan: FaultPlan::new(),
         memory: None,
     };
-    let frozen = run(blackout, SchedulerSpec::Portfolio, false);
-    let live = run(&calm, SchedulerSpec::Portfolio, false);
+    let frozen = run(blackout, SchedulerSpec::Portfolio);
+    let live = run(&calm, SchedulerSpec::Portfolio);
     assert!(
         frozen.mape_iterations < live.mape_iterations,
         "blackout ran {} ticks, calm run {}",
