@@ -2,7 +2,8 @@
 //! simulator (predictor update, Algorithm 3, lookahead, end-to-end runs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wire_core::experiment::{cloud_config, run_setting, Setting};
+use wire_campaign::Cell;
+use wire_core::experiment::{cloud_config, Setting};
 use wire_dag::Millis;
 use wire_planner::{resize_pool, WirePolicy};
 use wire_predictor::{CompletedTaskObs, IntervalObservations, Predictor};
@@ -453,17 +454,17 @@ fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/end_to_end");
     group.sample_size(10);
     group.bench_function("tpch6s_wire_u15", |b| {
-        b.iter(|| run_setting(WorkloadId::Tpch6S, Setting::Wire, Millis::from_mins(15), 1))
+        let cell = Cell::grid(WorkloadId::Tpch6S, Setting::Wire, Millis::from_mins(15), 1);
+        b.iter(|| cell.run(None, None))
     });
     group.bench_function("pagerank_s_wire_u15", |b| {
-        b.iter(|| {
-            run_setting(
-                WorkloadId::PageRankS,
-                Setting::Wire,
-                Millis::from_mins(15),
-                1,
-            )
-        })
+        let cell = Cell::grid(
+            WorkloadId::PageRankS,
+            Setting::Wire,
+            Millis::from_mins(15),
+            1,
+        );
+        b.iter(|| cell.run(None, None))
     });
     group.finish();
 }

@@ -9,13 +9,13 @@
 use std::time::Instant;
 
 use wire_chaos::{check_decision_journal, InvariantChecker};
-use wire_core::experiment::{build_policy, cloud_config_for, Setting};
+use wire_core::experiment::{build_policy, cloud_config, cloud_config_for, Setting};
 use wire_dag::{ExecProfile, Millis, Workflow};
 use wire_obs::{ObsSnapshot, StreamingRecorder};
 use wire_planner::{OracleWirePolicy, SteeringConfig, WirePolicy};
-use wire_simcloud::{CloudConfig, RunResult, Session, TransferModel};
+use wire_simcloud::{CloudConfig, RunError, RunResult, ScalingPolicy, Session, TransferModel};
 use wire_telemetry::{Tee, TelemetryHandle};
-use wire_workloads::{linear_workflow, WorkloadId};
+use wire_workloads::{linear_workflow, EnsembleSpec, WorkloadId};
 
 /// Bumped whenever the cell execution semantics or the [`CellOutput`] cache
 /// payload change shape: every previously cached entry becomes unreadable
@@ -167,8 +167,9 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// A §IV-C grid cell, identical in every input to
-    /// [`wire_core::experiment::run_setting`].
+    /// A §IV-C grid cell: the catalog workload generated from `seed` under
+    /// the setting's policy and cloud configuration, with the calibrated
+    /// transfer model.
     pub fn grid(workload: WorkloadId, setting: Setting, charging_unit: Millis, seed: u64) -> Cell {
         Cell {
             workload: CellWorkload::Catalog(workload),
@@ -437,6 +438,159 @@ impl CellOutput {
     }
 }
 
+/// What one session yields: the full result plus the wire controller's
+/// prediction-policy usage and state footprint (zero for other policies).
+struct Run {
+    result: RunResult,
+    policy_uses: [u64; 5],
+    state_bytes: u64,
+}
+
+/// The optional recorders a run carries; `None` is disabled. The journal is
+/// the raw event stream plus (under wire) the MAPE decision journal.
+#[derive(Default)]
+struct Recorders {
+    journal: Option<TelemetryHandle>,
+    checker: Option<InvariantChecker>,
+    obs: Option<StreamingRecorder>,
+}
+
+/// The one session build behind every cell, [`Cell::run`] and
+/// [`run_ensemble`]: the policy a [`PolicyKind`] names, with the journal and
+/// the streaming recorder wired into the wire controller's side channels, on
+/// one shared pool fed `submissions`. A present streaming recorder also
+/// notes the session's makespan and bill.
+fn run_session(
+    kind: &PolicyKind,
+    cfg: &CloudConfig,
+    transfer: TransferModel,
+    seed: u64,
+    submissions: &[(Millis, &Workflow, &ExecProfile)],
+    rec: Recorders,
+) -> Result<Run, RunError> {
+    let mut wire = None;
+    let mut other: Box<dyn ScalingPolicy>;
+    let policy: &mut dyn ScalingPolicy = match kind {
+        PolicyKind::Wire(steering) => {
+            let mut p = WirePolicy::new(*steering);
+            if let Some(h) = &rec.journal {
+                p = p.with_telemetry(h.clone());
+            }
+            if let Some(o) = &rec.obs {
+                p = p.with_obs(o.clone());
+            }
+            wire.insert(p)
+        }
+        PolicyKind::Oracle => {
+            // ground truth is indexed by the tasks of one workflow
+            let [(_, _, prof)] = submissions else {
+                panic!("an oracle run submits exactly one workflow");
+            };
+            other = Box::new(OracleWirePolicy::new((*prof).clone(), transfer.clone()));
+            other.as_mut()
+        }
+        baseline => {
+            other = build_policy(baseline.setting(), cfg);
+            other.as_mut()
+        }
+    };
+    let mut session = Session::new(cfg.clone())
+        .transfer(transfer)
+        .policy(policy)
+        .seed(seed)
+        .recording(Tee(rec.journal, Tee(rec.checker, rec.obs.clone())));
+    for &(at, wf, prof) in submissions {
+        session = session.submit_at(at, wf, prof);
+    }
+    let result = session.run()?;
+    if let Some(o) = &rec.obs {
+        o.note_session(result.makespan.as_ms(), result.charging_units);
+    }
+    let (policy_uses, state_bytes) =
+        wire.map_or(([0; 5], 0), |p| (p.policy_uses(), p.state_bytes() as u64));
+    Ok(Run {
+        result,
+        policy_uses,
+        state_bytes,
+    })
+}
+
+impl Cell {
+    /// Run this cell with an optional journal (the event stream, plus the
+    /// decision journal under wire) and an optional streaming recorder, and
+    /// return the full [`RunResult`]. With neither attached the run records
+    /// nothing; recorders are observational, so the result is the same
+    /// either way.
+    pub fn run(
+        &self,
+        journal: Option<TelemetryHandle>,
+        obs: Option<StreamingRecorder>,
+    ) -> RunResult {
+        let (wf, prof) = self.workload.generate(self.seed);
+        self.session(
+            &wf,
+            &prof,
+            Recorders {
+                journal,
+                checker: None,
+                obs,
+            },
+        )
+        .result
+    }
+
+    fn session(&self, wf: &Workflow, prof: &ExecProfile, rec: Recorders) -> Run {
+        let submissions = [(Millis::ZERO, wf, prof)];
+        run_session(
+            &self.policy,
+            &self.cfg,
+            self.transfer.model(),
+            self.seed,
+            &submissions,
+            rec,
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", self.label()))
+    }
+}
+
+/// Run a whole ensemble (N workflows, staggered arrivals, one shared pool)
+/// under one §IV-C setting and charging unit, optionally with a streaming
+/// recorder riding the engine (and, under wire, the controller's
+/// side channel). Per-workflow makespans and slowdowns land in
+/// [`RunResult::per_workflow`].
+pub fn run_ensemble(
+    spec: &EnsembleSpec,
+    setting: Setting,
+    charging_unit: Millis,
+    seed: u64,
+    obs: Option<StreamingRecorder>,
+) -> RunResult {
+    let members = spec.generate(seed);
+    let submissions: Vec<_> = members
+        .iter()
+        .map(|m| (m.submit_at, &m.workflow, &m.profile))
+        .collect();
+    run_session(
+        &PolicyKind::from_setting(setting),
+        &cloud_config(setting, charging_unit),
+        TransferModel::default(),
+        seed,
+        &submissions,
+        Recorders {
+            obs,
+            ..Recorders::default()
+        },
+    )
+    .unwrap_or_else(|e| {
+        panic!(
+            "ensemble[{}] / {} / u={charging_unit}: {e}",
+            members.len(),
+            setting.label()
+        )
+    })
+    .result
+}
+
 /// Execute one cell. With `check` the run is shadowed by
 /// [`wire_chaos::InvariantChecker`] (and, for wire policies, the decision
 /// journal is audited against the Algorithm 2/3 postconditions); recorders
@@ -444,102 +598,41 @@ impl CellOutput {
 /// deterministic summary and any invariant violations found.
 pub fn execute(cell: &Cell, check: bool) -> (CellOutput, Vec<String>) {
     let (wf, prof) = cell.workload.generate(cell.seed);
-    let tm = cell.transfer.model();
     let t0 = Instant::now();
     let checker = check.then(|| {
         InvariantChecker::new(&cell.cfg)
             .expect_workflow(wf.num_tasks() as u32, wf.num_stages() as u32)
     });
+    let journal = (check && matches!(cell.policy, PolicyKind::Wire(_))).then(TelemetryHandle::new);
 
     // Every cell rides the streaming recorder: its deterministic snapshot
     // travels with the output (and through the cache), so a warm-cache
     // campaign merges the same observability aggregates as a cold one.
     let obs = StreamingRecorder::new();
-    let mut violations = Vec::new();
-    let output = match &cell.policy {
-        PolicyKind::Wire(steering) => {
-            let handle = check.then(TelemetryHandle::new);
-            let mut policy = WirePolicy::new(*steering).with_obs(obs.clone());
-            if let Some(h) = &handle {
-                policy = policy.with_telemetry(h.clone());
-            }
-            let session = Session::new(cell.cfg.clone())
-                .transfer(tm)
-                .policy(&mut policy)
-                .seed(cell.seed);
-            let res = match (&checker, &handle) {
-                (Some(c), Some(h)) => session
-                    .recording(Tee(h.clone(), Tee(c.clone(), obs.clone())))
-                    .submit(&wf, &prof)
-                    .run(),
-                _ => session.recording(obs.clone()).submit(&wf, &prof).run(),
-            }
-            .unwrap_or_else(|e| panic!("{}: {e}", cell.label()));
-            if let (Some(c), Some(h)) = (&checker, &handle) {
-                let buffer = h.take();
-                c.absorb_decisions(&buffer.decisions);
-                violations.extend(check_decision_journal(&buffer.decisions));
-            }
-            let uses = policy.policy_uses();
-            let state = policy.state_bytes() as u64;
-            obs.note_session(res.makespan.as_ms(), res.charging_units);
-            CellOutput::from_run(
-                &res,
-                uses,
-                state,
-                obs.snapshot(),
-                t0.elapsed().as_micros() as u64,
-            )
-        }
-        PolicyKind::Oracle => {
-            let policy = OracleWirePolicy::new(prof.clone(), tm.clone());
-            let session = Session::new(cell.cfg.clone())
-                .transfer(tm)
-                .policy(policy)
-                .seed(cell.seed);
-            let res = match &checker {
-                Some(c) => session
-                    .recording(Tee(c.clone(), obs.clone()))
-                    .submit(&wf, &prof)
-                    .run(),
-                None => session.recording(obs.clone()).submit(&wf, &prof).run(),
-            }
-            .unwrap_or_else(|e| panic!("{}: {e}", cell.label()));
-            obs.note_session(res.makespan.as_ms(), res.charging_units);
-            CellOutput::from_run(
-                &res,
-                [0; 5],
-                0,
-                obs.snapshot(),
-                t0.elapsed().as_micros() as u64,
-            )
-        }
-        baseline => {
-            let policy = build_policy(baseline.setting(), &cell.cfg);
-            let session = Session::new(cell.cfg.clone())
-                .transfer(tm)
-                .policy(policy)
-                .seed(cell.seed);
-            let res = match &checker {
-                Some(c) => session
-                    .recording(Tee(c.clone(), obs.clone()))
-                    .submit(&wf, &prof)
-                    .run(),
-                None => session.recording(obs.clone()).submit(&wf, &prof).run(),
-            }
-            .unwrap_or_else(|e| panic!("{}: {e}", cell.label()));
-            obs.note_session(res.makespan.as_ms(), res.charging_units);
-            CellOutput::from_run(
-                &res,
-                [0; 5],
-                0,
-                obs.snapshot(),
-                t0.elapsed().as_micros() as u64,
-            )
-        }
-    };
+    let run = cell.session(
+        &wf,
+        &prof,
+        Recorders {
+            journal: journal.clone(),
+            checker: checker.clone(),
+            obs: Some(obs.clone()),
+        },
+    );
+    let output = CellOutput::from_run(
+        &run.result,
+        run.policy_uses,
+        run.state_bytes,
+        obs.snapshot(),
+        t0.elapsed().as_micros() as u64,
+    );
 
+    let mut violations = Vec::new();
     if let Some(c) = &checker {
+        if let Some(h) = &journal {
+            let buffer = h.take();
+            c.absorb_decisions(&buffer.decisions);
+            violations.extend(check_decision_journal(&buffer.decisions));
+        }
         let report = c.report();
         if !report.is_clean() {
             violations.extend(
@@ -552,4 +645,55 @@ pub fn execute(cell: &Cell, check: bool) -> (CellOutput, Vec<String>) {
         }
     }
     (output, violations)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wire_obs::ObsConfig;
+    use wire_telemetry::TelemetryEvent;
+
+    #[test]
+    fn wire_beats_full_site_on_cost() {
+        let u = Millis::from_mins(15);
+        let full = Cell::grid(WorkloadId::Tpch6S, Setting::FullSite, u, 2).run(None, None);
+        let wire = Cell::grid(WorkloadId::Tpch6S, Setting::Wire, u, 2).run(None, None);
+        assert!(
+            wire.charging_units < full.charging_units,
+            "wire {} vs full-site {}",
+            wire.charging_units,
+            full.charging_units
+        );
+    }
+
+    #[test]
+    fn telemetry_run_journals_every_tick_and_changes_nothing() {
+        let cell = Cell::grid(WorkloadId::Tpch6S, Setting::Wire, Millis::from_mins(15), 1);
+        let journal = TelemetryHandle::new();
+        let obs = StreamingRecorder::with_config(ObsConfig::per_interval(cell.cfg.mape_interval));
+        let r = cell.run(Some(journal.clone()), Some(obs.clone()));
+        let (buffer, snap) = (journal.take(), obs.snapshot());
+        assert_eq!(r.task_records.len(), 33);
+        assert!(!buffer.events.is_empty());
+        // one decision journal entry and one MapeTick event per MAPE tick
+        assert_eq!(buffer.decisions.len() as u64, r.mape_iterations);
+        let ticks = buffer
+            .events
+            .iter()
+            .filter(|(_, ev)| matches!(ev, TelemetryEvent::MapeTick { .. }))
+            .count();
+        assert_eq!(ticks as u64, r.mape_iterations);
+        assert_eq!(snap.counter("mape_tick"), r.mape_iterations);
+        // predictions were joined against completions, never more than once
+        // per completed task
+        let joins = snap.health.pred_abs_err_ms.count;
+        assert!(joins > 0 && joins <= snap.counter("task_completed"));
+        assert_eq!(snap.windows.evicted_windows, 0);
+        assert_eq!(snap.health.sessions, 1);
+        // recording must not perturb the simulation
+        let plain = cell.run(None, None);
+        assert_eq!(plain.makespan, r.makespan);
+        assert_eq!(plain.charging_units, r.charging_units);
+        assert_eq!(plain.task_records, r.task_records);
+    }
 }

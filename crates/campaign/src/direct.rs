@@ -1,12 +1,13 @@
 //! The paper artifacts that bypass the cell cache: Table I, Figure 4 and
 //! the §IV-D order spread, the pool-size timelines, and the offline paired
 //! analysis of an archived campaign. `table1`, `fig4` and `analyze` run no
-//! simulation cells; `timeline` runs four direct sessions, because a pool
-//! timeline is not part of a cached [`CellOutput`](crate::CellOutput).
+//! simulation cells; `timeline` runs four cells directly through
+//! [`Cell::run`], because a pool timeline is not part of a cached
+//! [`CellOutput`](crate::CellOutput).
 
 use std::path::Path;
 
-use wire_core::experiment::{run_setting, Setting};
+use wire_core::experiment::Setting;
 use wire_core::prediction::{stage_order_spread, PredictionStudy};
 use wire_core::{paired, parse_csv, summarize, FlatRun, Table};
 use wire_dag::{width_profile, Millis};
@@ -14,6 +15,7 @@ use wire_predictor::StageClass;
 use wire_workloads::WorkloadId;
 
 use crate::figures::{emit, results_dir, save_csv, FigureOutcome, FigureRunner};
+use crate::Cell;
 
 impl FigureRunner {
     /// Table I — workflow characteristics, paper-reported vs generated.
@@ -183,7 +185,7 @@ impl FigureRunner {
         let u = Millis::from_mins(15);
         let mut t = Table::new(["setting", "t (s)", "pool size"]);
         for setting in Setting::ALL {
-            let r = run_setting(workload, setting, u, 1);
+            let r = Cell::grid(workload, setting, u, 1).run(None, None);
             for &(at, size) in &r.pool_timeline {
                 t.push_row([
                     setting.label().to_string(),

@@ -14,8 +14,10 @@
 //! Layout:
 //!
 //! * [`cell`] — the unit of work: workload/policy/config/seed, its
-//!   [`cache_key`], the deterministic [`CellOutput`] summary, and
-//!   [`execute`] (optionally shadowed by the chaos invariant checker);
+//!   [`cache_key`], the deterministic [`CellOutput`] summary, and the one
+//!   session build behind [`execute`] (optionally shadowed by the chaos
+//!   invariant checker), [`Cell::run`] (the full `RunResult`, with optional
+//!   recorders) and [`run_ensemble`] (N workflows on one pool);
 //! * [`cache`] — self-verifying on-disk entries (version + key + length +
 //!   checksum header): truncated or garbled entries are detected, reported
 //!   and recomputed, never trusted;
@@ -35,8 +37,8 @@ pub mod traffic;
 
 pub use cache::CacheMiss;
 pub use cell::{
-    cache_key, cache_key_versioned, execute, Cell, CellOutput, CellWorkload, PolicyKind,
-    TransferKind, CACHE_FORMAT_VERSION,
+    cache_key, cache_key_versioned, execute, run_ensemble, Cell, CellOutput, CellWorkload,
+    PolicyKind, TransferKind, CACHE_FORMAT_VERSION,
 };
 pub use figures::{grid_cells, grid_results_from, save_obs_snapshot, FigureOutcome, FigureRunner};
 pub use runner::{

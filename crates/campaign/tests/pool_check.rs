@@ -4,7 +4,7 @@
 //! while every healthy cell stays clean.
 
 use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
-use wire_core::experiment::Setting;
+use wire_core::experiment::{cloud_config, Setting};
 use wire_dag::Millis;
 use wire_workloads::WorkloadId;
 
@@ -68,6 +68,11 @@ fn clean_cells_produce_no_violations_and_checking_is_observational() {
             WorkloadId::Tpch6S,
             Setting::FullSite,
             Millis::from_mins(15),
+            1,
+        ),
+        Cell::oracle(
+            WorkloadId::Tpch6S,
+            cloud_config(Setting::Wire, Millis::from_mins(15)),
             1,
         ),
     ];

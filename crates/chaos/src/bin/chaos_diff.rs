@@ -14,6 +14,7 @@ use wire_chaos::{FaultPlan, InvariantChecker};
 use wire_dag::{Millis, StageId};
 use wire_planner::WirePolicy;
 use wire_simcloud::{CloudConfig, InstanceId, RunResult, Session, TransferModel};
+use wire_telemetry::json::{self, Json};
 use wire_telemetry::TelemetryHandle;
 use wire_workloads::WorkloadId;
 
@@ -33,22 +34,15 @@ fn run(plan: FaultPlan, checker: Option<&InvariantChecker>) -> RunResult {
     let (wf, prof) = WORKLOAD.generate(SEED);
     let cfg = CloudConfig::exogeni(Millis::from_mins(15));
     let handle = TelemetryHandle::new();
-    let mut session = Session::new(cfg.clone())
+    let result = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(WirePolicy::default().with_telemetry(handle.clone()))
-        .seed(SEED);
-    let result = match checker {
-        Some(c) => session
-            .recording(c.clone())
-            .chaos(plan)
-            .submit(&wf, &prof)
-            .run(),
-        None => {
-            session = session.chaos(plan);
-            session.submit(&wf, &prof).run()
-        }
-    }
-    .expect("chaos_diff run completes");
+        .seed(SEED)
+        .recording(checker.cloned())
+        .chaos(plan)
+        .submit(&wf, &prof)
+        .run()
+        .expect("chaos_diff run completes");
     if let Some(c) = checker {
         c.absorb_decisions(&handle.take().decisions);
     }
@@ -71,20 +65,6 @@ fn fingerprint(r: &RunResult) -> Fingerprint {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn main() {
     let plain = run(FaultPlan::new(), None);
     let noop = run(FaultPlan::new(), None);
@@ -100,18 +80,13 @@ fn main() {
     let report = checker.report();
 
     let ok = noop_identical && reproducible && report.is_clean();
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect::<Vec<_>>()
-        .join(",");
+    let violations = Json::Arr(report.violations.iter().map(|v| json::s(v)).collect());
     let json = format!(
         "{{\n  \"workload\": \"{:?}\",\n  \"seed\": {},\n  \"faults\": {},\n  \
          \"noop_plan_identical\": {},\n  \"storm_reproducible\": {},\n  \
          \"storm_failures\": {},\n  \"storm_restarts\": {},\n  \
          \"checker_events\": {},\n  \"checker_ticks\": {},\n  \
-         \"violations\": [{}]\n}}\n",
+         \"violations\": {}\n}}\n",
         WORKLOAD,
         SEED,
         storm().len(),
@@ -121,7 +96,7 @@ fn main() {
         a.restarts,
         report.events,
         report.ticks,
-        violations,
+        violations.render(),
     );
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/CHAOS_report.json", &json).expect("write CHAOS_report.json");

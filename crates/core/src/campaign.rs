@@ -90,7 +90,7 @@ where
 }
 
 /// Parse a campaign CSV produced by [`to_csv`]. Every float column must be
-/// finite.
+/// finite and non-negative, and the charging unit positive.
 pub fn parse_csv(text: &str) -> Result<Vec<FlatRun>, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty csv")?;
@@ -113,15 +113,19 @@ pub fn parse_csv(text: &str) -> Result<Vec<FlatRun>, String> {
         let line = i + 2;
         let float = |s: &str, what: &str| {
             field::<f64>(s, what, line).and_then(|v| {
-                v.is_finite()
+                (v.is_finite() && v >= 0.0)
                     .then_some(v)
                     .ok_or(format!("line {line}: bad {what}: {v}"))
             })
         };
+        let u_mins = float(f[2], "u_mins")?;
+        if u_mins == 0.0 {
+            return Err(format!("line {line}: bad u_mins: {u_mins}"));
+        }
         rows.push(FlatRun {
             workload: f[0].to_string(),
             setting: f[1].to_string(),
-            charging_unit_mins: float(f[2], "u_mins")?,
+            charging_unit_mins: u_mins,
             repetition: field(f[3], "rep", line)?,
             cost_units: field(f[4], "cost", line)?,
             makespan_secs: float(f[5], "makespan")?,
@@ -211,6 +215,11 @@ mod tests {
         let ok_header = "workload,setting,u_mins,rep,cost_units,makespan_secs,peak_instances,restarts,busy_slot_secs,wasted_slot_secs";
         assert!(parse_csv(&format!("{ok_header}\nx,y,z")).is_err());
         assert!(parse_csv(&format!("{ok_header}\nw,s,abc,0,1,2,3,4,5,6")).is_err());
+        // a negative measurement or a non-positive charging unit is no run
+        assert!(parse_csv(&format!("{ok_header}\nw,s,-15,0,1,2,3,4,5,6")).is_err());
+        assert!(parse_csv(&format!("{ok_header}\nw,s,0,0,1,2,3,4,5,6")).is_err());
+        assert!(parse_csv(&format!("{ok_header}\nw,s,15,0,1,-60,3,4,5,6")).is_err());
+        assert!(parse_csv(&format!("{ok_header}\nw,s,15,0,1,60,3,4,-1,6")).is_err());
         // blank lines are fine
         assert_eq!(parse_csv(&format!("{ok_header}\n\n")).unwrap().len(), 0);
     }

@@ -7,9 +7,9 @@
 //!
 //! * [`experiment`] — the §IV-C grid: 4 workflows × 2 datasets ×
 //!   {full-site, pure-reactive, reactive-conserving, wire} × 4 charging units
-//!   with repetitions, as a spec ([`ExperimentGrid`]), per-run runners and
-//!   the aggregates Figures 5–6 and the headline claims read (the
-//!   `wire-campaign` runner executes the grid);
+//!   with repetitions, as a spec ([`ExperimentGrid`]), each setting's cloud
+//!   configuration and policy, and the aggregates Figures 5–6 and the
+//!   headline claims read (`wire-campaign` runs every cell);
 //! * [`prediction`] — the §IV-D offline prediction-accuracy study behind
 //!   Figure 4 (per-stage error CDFs over random task orders);
 //! * [`stats`] — means/medians/stds/quantiles used in Figures 5–6;
@@ -23,9 +23,7 @@ pub mod report;
 pub mod stats;
 
 pub use campaign::{flatten, parse_csv, summarize, to_csv, FlatRun};
-pub use experiment::{
-    run_ensemble, run_setting, ExperimentGrid, GridCell, GridResult, Setting, CHARGING_UNITS_MINS,
-};
+pub use experiment::{ExperimentGrid, GridCell, GridResult, Setting, CHARGING_UNITS_MINS};
 pub use plot::{bar_chart, line_chart, Series};
 pub use prediction::{
     stage_order_spread, stage_prediction_errors, stage_prediction_errors_with, OrderSpread,

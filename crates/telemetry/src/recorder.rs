@@ -131,6 +131,27 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 }
 
+/// An optional recorder: `None` is disabled, so a run that carries a
+/// recorder only sometimes keeps one static type, e.g.
+/// `Tee(journal, Tee(checker, obs))` over three `Option`s.
+impl<R: Recorder> Recorder for Option<R> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(R::enabled)
+    }
+
+    fn record(&mut self, at: Millis, event: TelemetryEvent) {
+        if let Some(r) = self {
+            r.record(at, event)
+        }
+    }
+
+    fn tick(&mut self, at: Millis, stats: TickStats) {
+        if let Some(r) = self {
+            r.tick(at, stats)
+        }
+    }
+}
+
 /// Fan one event stream out to two recorders (the raw buffer and a
 /// streaming recorder, say). Nest it for more: `Tee(a, Tee(b, c))`.
 #[derive(Debug, Clone, Default)]
@@ -219,6 +240,30 @@ mod tests {
         assert!(half.enabled());
         half.record(Millis::ZERO, TelemetryEvent::RunSetupDone);
         assert_eq!(a.take().events.len(), 1);
+    }
+
+    #[test]
+    fn none_recorder_is_disabled() {
+        let mut none: Option<TelemetryHandle> = None;
+        assert!(!none.enabled());
+        none.record(Millis::ZERO, TelemetryEvent::RunSetupDone);
+        none.tick(Millis::ZERO, TickStats::default());
+        assert!(!Some(NoopRecorder).enabled());
+        assert!(Some(TelemetryHandle::new()).enabled());
+    }
+
+    #[test]
+    fn tee_with_a_none_member_forwards_only_to_the_other() {
+        let a = TelemetryHandle::new();
+        let mut tee = Tee(None::<TelemetryHandle>, Some(a.clone()));
+        assert!(tee.enabled());
+        tee.record(Millis::ZERO, TelemetryEvent::RunSetupDone);
+        tee.tick(Millis::ZERO, TickStats::default());
+        assert_eq!(
+            a.take().events,
+            vec![(Millis::ZERO, TelemetryEvent::RunSetupDone)]
+        );
+        assert!(!Tee(None::<TelemetryHandle>, None::<TelemetryHandle>).enabled());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use wire::core::experiment::Setting;
 use wire::prelude::*;
 
 fn run(setting: Setting, spec: &EnsembleSpec, seed: u64) -> RunResult {
-    wire::core::run_ensemble(spec, setting, Millis::from_mins(15), seed)
+    wire::campaign::run_ensemble(spec, setting, Millis::from_mins(15), seed, None)
 }
 
 fn main() {

@@ -6,6 +6,7 @@
 //! cargo run --release --example epigenomics_autoscale
 //! ```
 
+use wire::campaign::Cell;
 use wire::core::experiment::{cloud_config, Setting};
 use wire::prelude::*;
 
@@ -44,7 +45,7 @@ fn main() {
 
     let mut wire_run: Option<RunResult> = None;
     for setting in Setting::ALL {
-        let result = wire::core::run_setting(workload, setting, u, seed);
+        let result = Cell::grid(workload, setting, u, seed).run(None, None);
         println!(
             "{:<22} {:>12} {:>14} {:>10} {:>9}",
             setting.label(),

@@ -6,7 +6,8 @@
 //! cargo run --release --example policy_comparison [-- pagerank-l]
 //! ```
 
-use wire::core::experiment::{run_setting, Setting, CHARGING_UNITS_MINS};
+use wire::campaign::Cell;
+use wire::core::experiment::{Setting, CHARGING_UNITS_MINS};
 use wire::prelude::*;
 
 fn pick_workload() -> WorkloadId {
@@ -32,7 +33,7 @@ fn main() {
     for setting in Setting::ALL {
         for &u_min in &CHARGING_UNITS_MINS {
             let u = Millis::from_mins(u_min);
-            let r = run_setting(workload, setting, u, 7);
+            let r = Cell::grid(workload, setting, u, 7).run(None, None);
             println!(
                 "{:<22} {:>8} {:>14} {:>14} {:>8.1}",
                 setting.label(),

@@ -38,6 +38,7 @@ use wire::obs::ObsConfig;
 use wire::planner::OracleWirePolicy;
 use wire::prelude::*;
 
+#[derive(Clone)]
 struct Opts {
     policy: String,
     scheduler: Option<SchedulerSpec>,
@@ -266,18 +267,14 @@ fn run_one(
         wire::core::experiment::build_policy(setting, &cfg)
     };
 
-    let session = wire::simcloud::Session::new(cfg)
+    let result = wire::simcloud::Session::new(cfg)
         .transfer(tm)
         .policy(policy)
         .seed(opts.seed)
-        .submit(wf, prof);
-    let result = match (&telemetry, &obs) {
-        (Some(h), Some(o)) => session.recording(Tee(h.clone(), o.clone())).run(),
-        (Some(h), None) => session.recording(h.clone()).run(),
-        (None, Some(o)) => session.recording(o.clone()).run(),
-        (None, None) => session.run(),
-    }
-    .map_err(|e| e.to_string())?;
+        .recording(Tee(telemetry.clone(), obs.clone()))
+        .submit(wf, prof)
+        .run()
+        .map_err(|e| e.to_string())?;
 
     let snapshot = obs.map(|o| o.snapshot());
     if let (Some(path), Some(snapshot)) = (&opts.metrics_csv, &snapshot) {
@@ -369,6 +366,15 @@ fn real_main() -> Result<(), String> {
                 .ok_or_else(|| format!("unknown workload '{name}' (try `wire list`)"))?;
             let opts = parse_opts(rest)?;
             let (wf, prof) = spec.generate(opts.seed);
+            // `compare` and `sweep` print one row per run and write no files
+            let quiet = Opts {
+                timeline: false,
+                trace_out: None,
+                trace_chrome: None,
+                decisions: None,
+                metrics_csv: None,
+                ..opts.clone()
+            };
             match cmd {
                 "run" => {
                     let r = run_one(&wf, &prof, spec.total_input_bytes, &opts)?;
@@ -388,18 +394,8 @@ fn real_main() -> Result<(), String> {
                     ] {
                         let o = Opts {
                             policy: policy.into(),
-                            scheduler: opts.scheduler,
-                            u_mins: opts.u_mins,
-                            seed: opts.seed,
-                            timeline: false,
-                            trace_out: None,
-                            trace_chrome: None,
-                            decisions: None,
-                            metrics_csv: None,
-                            families: opts.families.clone(),
-                            spot_floor: opts.spot_floor,
-                            budget_milli: opts.budget_milli,
                             deadline_mins: None,
+                            ..quiet.clone()
                         };
                         let r = run_one(&wf, &prof, spec.total_input_bytes, &o)?;
                         println!(
@@ -420,18 +416,7 @@ fn real_main() -> Result<(), String> {
                     for u in CHARGING_UNITS_MINS {
                         let o = Opts {
                             u_mins: u,
-                            policy: opts.policy.clone(),
-                            scheduler: opts.scheduler,
-                            seed: opts.seed,
-                            timeline: false,
-                            trace_out: None,
-                            trace_chrome: None,
-                            decisions: None,
-                            metrics_csv: None,
-                            families: opts.families.clone(),
-                            spot_floor: opts.spot_floor,
-                            budget_milli: opts.budget_milli,
-                            deadline_mins: opts.deadline_mins,
+                            ..quiet.clone()
                         };
                         let r = run_one(&wf, &prof, spec.total_input_bytes, &o)?;
                         println!(

@@ -13,7 +13,12 @@
 //!   baselines ([`wire_planner`]);
 //! * [`workloads`] — Table I workload generators and ensemble arrival
 //!   processes ([`wire_workloads`]);
-//! * [`core`] — experiment harness, statistics, reports ([`wire_core`]);
+//! * [`core`] — the §IV-C experiment grid, statistics, reports
+//!   ([`wire_core`]);
+//! * [`campaign`] — every controlled run: one cell (workload, policy,
+//!   charging unit, seed) or an ensemble through one session build, the
+//!   cached parallel campaign runner and the paper's figure front-ends
+//!   ([`wire_campaign`]);
 //! * [`telemetry`] — recorder hooks, the raw event stream and decision
 //!   journal, and trace exporters ([`wire_telemetry`]);
 //! * [`obs`] — bounded-memory streaming observability, the one metrics
@@ -45,6 +50,7 @@
 
 #![deny(missing_docs)]
 
+pub use wire_campaign as campaign;
 pub use wire_core as core;
 pub use wire_dag as dag;
 pub use wire_obs as obs;
@@ -56,7 +62,7 @@ pub use wire_workloads as workloads;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use wire_core::{run_ensemble, run_setting, ExperimentGrid, Setting};
+    pub use wire_core::{ExperimentGrid, Setting};
     pub use wire_dag::{
         ExecProfile, Millis, StageId, TaskId, Workflow, WorkflowBuilder, WorkflowId,
     };

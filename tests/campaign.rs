@@ -12,11 +12,14 @@
 
 use std::path::PathBuf;
 
+use common::GOLDEN;
 use wire::core::experiment::{cloud_config, ExperimentGrid, Setting};
 use wire::prelude::*;
 use wire_campaign::{
     cache, cache_key, grid_cells, grid_results_from, run_campaign, CacheMode, CampaignConfig, Cell,
 };
+
+mod common;
 
 /// A small but non-trivial spec: a 2-workload grid (both grid dimensions
 /// exercised) plus Figure 2-style linear cells, 20 cells total.
@@ -76,22 +79,16 @@ fn thread_count_is_unobservable() {
 
 #[test]
 fn campaign_matches_golden_values_at_any_thread_count() {
-    // the same pinned (workload, setting, u, seed) tuples tests/golden.rs
-    // asserts on run_setting — the campaign path must reproduce them exactly
-    let golden: &[(WorkloadId, Setting, u64, u64, u64, u64)] = &[
-        (WorkloadId::Tpch6S, Setting::Wire, 15, 1, 1, 886_732),
-        (WorkloadId::Tpch6S, Setting::FullSite, 15, 1, 12, 574_631),
-        (WorkloadId::PageRankS, Setting::Wire, 1, 2, 21, 1_209_958),
-        (WorkloadId::EpigenomicsS, Setting::Wire, 15, 3, 4, 2_642_446),
-        (WorkloadId::Tpch1S, Setting::PureReactive, 60, 4, 8, 876_997),
-    ];
-    let cells: Vec<Cell> = golden
+    // every pinned (workload, setting, u, seed) row tests/golden.rs asserts
+    // on a direct cell run: the campaign path must reproduce them exactly
+    let cells: Vec<Cell> = GOLDEN
         .iter()
         .map(|&(w, s, u, seed, _, _)| Cell::grid(w, s, Millis::from_mins(u), seed))
         .collect();
     for threads in [1, 4] {
         let report = run_campaign(&cells, &uncached(threads));
-        for (out, &(w, s, u, seed, units, makespan_ms)) in report.outputs.iter().zip(golden) {
+        assert_eq!(report.outputs.len(), GOLDEN.len());
+        for (out, &(w, s, u, seed, units, makespan_ms)) in report.outputs.iter().zip(GOLDEN) {
             assert_eq!(
                 (out.charging_units, out.makespan_ms),
                 (units, makespan_ms),

@@ -1,7 +1,36 @@
-//! The golden run digest, shared by `tests/golden.rs`, `tests/chaos.rs` and
-//! `tests/obs.rs`: one blob layout, one hash, one table of pins.
+//! The golden pins, shared by `tests/golden.rs`, `tests/campaign.rs`,
+//! `tests/chaos.rs` and `tests/obs.rs`: one table of pinned costs and
+//! makespans, and the run digest (one blob layout, one hash, one table of
+//! pins). Each test binary uses a subset.
+#![allow(dead_code)]
 
 use wire::prelude::*;
+
+/// Pinned bills and makespans of fixed grid cells.
+pub const GOLDEN: &[(WorkloadId, Setting, u64, u64, u64, u64)] = &[
+    // (workload, setting, u_mins, seed, expected units, expected makespan_ms)
+    //
+    // Values are pinned against the vendored deterministic RNG
+    // (vendor/rand, splitmix64): the original seed constants came from a
+    // different generator and were re-derived when the RNG was vendored
+    // into the repo. They were derived — and verified to pass — against the
+    // PRE-optimization controller (the commit that vendored the RNG), so
+    // hot-path commits that claim to change zero decisions must land with
+    // these constants untouched.
+    (WorkloadId::Tpch6S, Setting::Wire, 15, 1, 1, 886_732),
+    (WorkloadId::Tpch6S, Setting::FullSite, 15, 1, 12, 574_631),
+    (WorkloadId::PageRankS, Setting::Wire, 1, 2, 21, 1_209_958),
+    (
+        WorkloadId::PageRankS,
+        Setting::ReactiveConserving,
+        30,
+        2,
+        1,
+        1_209_958,
+    ),
+    (WorkloadId::EpigenomicsS, Setting::Wire, 15, 3, 4, 2_642_446),
+    (WorkloadId::Tpch1S, Setting::PureReactive, 60, 4, 8, 876_997),
+];
 
 /// Pinned digests of the *entire observable output* of a WIRE run: the
 /// telemetry event stream, the MAPE decision journal, and the

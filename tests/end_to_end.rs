@@ -1,7 +1,8 @@
 //! End-to-end integration: every Table I workload runs to completion under
 //! every resource-management setting, and basic cross-crate invariants hold.
 
-use wire::core::experiment::{cloud_config, run_setting, Setting};
+use wire::campaign::Cell;
+use wire::core::experiment::{cloud_config, Setting};
 use wire::prelude::*;
 
 const U15: Millis = Millis(15 * 60_000);
@@ -11,7 +12,7 @@ fn all_small_workloads_complete_under_all_settings() {
     for workload in WorkloadId::SMALL {
         let total = workload.generate(1).0.num_tasks();
         for setting in Setting::ALL {
-            let r = run_setting(workload, setting, U15, 1);
+            let r = Cell::grid(workload, setting, U15, 1).run(None, None);
             assert_eq!(
                 r.task_records.len(),
                 total,
@@ -31,7 +32,7 @@ fn makespan_never_beats_critical_path() {
         let (wf, prof) = workload.generate(2);
         let lower = wire::dag::critical_path_ms(&wf, &prof);
         for setting in [Setting::FullSite, Setting::Wire] {
-            let r = run_setting(workload, setting, U15, 2);
+            let r = Cell::grid(workload, setting, U15, 2).run(None, None);
             assert!(
                 r.makespan >= lower,
                 "{} {}: makespan {} < critical path {}",
@@ -50,7 +51,7 @@ fn billing_covers_consumed_slot_time() {
     for workload in WorkloadId::SMALL {
         for setting in Setting::ALL {
             let cfg = cloud_config(setting, U15);
-            let r = run_setting(workload, setting, U15, 3);
+            let r = Cell::grid(workload, setting, U15, 3).run(None, None);
             let paid_slot_ms = r.charging_units * U15.as_ms() * cfg.slots_per_instance as u64;
             let used = r.busy_slot_time.as_ms() + r.wasted_slot_time.as_ms();
             assert!(
@@ -66,8 +67,8 @@ fn billing_covers_consumed_slot_time() {
 #[test]
 fn wire_cost_at_most_full_site_on_every_small_workload() {
     for workload in WorkloadId::SMALL {
-        let full = run_setting(workload, Setting::FullSite, U15, 4);
-        let wire = run_setting(workload, Setting::Wire, U15, 4);
+        let full = Cell::grid(workload, Setting::FullSite, U15, 4).run(None, None);
+        let wire = Cell::grid(workload, Setting::Wire, U15, 4).run(None, None);
         assert!(
             wire.charging_units <= full.charging_units,
             "{}: wire {} > full-site {}",
@@ -81,13 +82,13 @@ fn wire_cost_at_most_full_site_on_every_small_workload() {
 #[test]
 fn full_site_is_fastest_setting() {
     for workload in [WorkloadId::EpigenomicsS, WorkloadId::PageRankS] {
-        let full = run_setting(workload, Setting::FullSite, U15, 5);
+        let full = Cell::grid(workload, Setting::FullSite, U15, 5).run(None, None);
         for setting in [
             Setting::PureReactive,
             Setting::ReactiveConserving,
             Setting::Wire,
         ] {
-            let other = run_setting(workload, setting, U15, 5);
+            let other = Cell::grid(workload, setting, U15, 5).run(None, None);
             assert!(
                 other.makespan >= full.makespan,
                 "{}: {} faster than full-site",
@@ -101,8 +102,8 @@ fn full_site_is_fastest_setting() {
 #[test]
 fn runs_are_reproducible_across_processes_shape() {
     // same seed ⇒ identical cost and makespan for the stateful WIRE policy
-    let a = run_setting(WorkloadId::PageRankS, Setting::Wire, U15, 11);
-    let b = run_setting(WorkloadId::PageRankS, Setting::Wire, U15, 11);
+    let a = Cell::grid(WorkloadId::PageRankS, Setting::Wire, U15, 11).run(None, None);
+    let b = Cell::grid(WorkloadId::PageRankS, Setting::Wire, U15, 11).run(None, None);
     assert_eq!(a.charging_units, b.charging_units);
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.task_records, b.task_records);
@@ -112,7 +113,7 @@ fn runs_are_reproducible_across_processes_shape() {
 fn per_instance_bills_sum_to_total() {
     for workload in WorkloadId::SMALL {
         for setting in Setting::ALL {
-            let r = run_setting(workload, setting, U15, 9);
+            let r = Cell::grid(workload, setting, U15, 9).run(None, None);
             assert!(
                 r.bills_are_consistent(),
                 "{} {}: bills {:?} != total {}",
@@ -128,7 +129,8 @@ fn per_instance_bills_sum_to_total() {
 #[test]
 fn site_capacity_never_exceeded() {
     for setting in Setting::ALL {
-        let r = run_setting(WorkloadId::EpigenomicsS, setting, Millis::from_mins(1), 6);
+        let r =
+            Cell::grid(WorkloadId::EpigenomicsS, setting, Millis::from_mins(1), 6).run(None, None);
         assert!(
             r.peak_instances <= 12,
             "{}: peak {} > site capacity",
@@ -140,7 +142,7 @@ fn site_capacity_never_exceeded() {
 
 #[test]
 fn task_records_are_internally_consistent() {
-    let r = run_setting(WorkloadId::Tpch1S, Setting::Wire, U15, 7);
+    let r = Cell::grid(WorkloadId::Tpch1S, Setting::Wire, U15, 7).run(None, None);
     for rec in &r.task_records {
         assert!(rec.ready_at <= rec.started_at, "{rec:?}");
         assert!(rec.started_at < rec.finished_at, "{rec:?}");
@@ -155,7 +157,7 @@ fn task_records_are_internally_consistent() {
 
 #[test]
 fn mape_loop_runs_at_the_configured_cadence() {
-    let r = run_setting(WorkloadId::EpigenomicsS, Setting::Wire, U15, 8);
+    let r = Cell::grid(WorkloadId::EpigenomicsS, Setting::Wire, U15, 8).run(None, None);
     // iterations ≈ makespan / interval (3 min); the engine stops ticking at
     // workflow completion
     let expected = r.makespan.as_ms() / Millis::from_mins(3).as_ms();

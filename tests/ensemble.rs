@@ -3,6 +3,7 @@
 //! outcomes recorded and all conservation invariants intact.
 
 use proptest::prelude::*;
+use wire::campaign::run_ensemble;
 use wire::core::experiment::{cloud_config, Setting};
 use wire::prelude::*;
 use wire_chaos::InvariantChecker;
@@ -30,7 +31,7 @@ fn staggered_ensemble_completes_under_every_policy() {
         Setting::ReactiveConserving,
         Setting::Wire,
     ] {
-        let r = wire::core::run_ensemble(&spec, setting, Millis::from_mins(15), seed);
+        let r = run_ensemble(&spec, setting, Millis::from_mins(15), seed, None);
         assert_eq!(
             r.task_records.len(),
             total_tasks,
@@ -74,8 +75,8 @@ fn poisson_ensemble_runs_deterministically() {
             mean_gap: Millis::from_mins(8),
         },
     );
-    let a = wire::core::run_ensemble(&spec, Setting::Wire, Millis::from_mins(15), 3);
-    let b = wire::core::run_ensemble(&spec, Setting::Wire, Millis::from_mins(15), 3);
+    let a = run_ensemble(&spec, Setting::Wire, Millis::from_mins(15), 3, None);
+    let b = run_ensemble(&spec, Setting::Wire, Millis::from_mins(15), 3, None);
     assert_eq!(a.charging_units, b.charging_units);
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.pool_timeline, b.pool_timeline);

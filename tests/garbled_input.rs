@@ -11,10 +11,10 @@ use std::sync::OnceLock;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use wire::core::experiment::{run_setting_telemetry, Setting};
+use wire::core::experiment::Setting;
 use wire::core::{parse_csv, to_csv, FlatRun};
 use wire::dag::Millis;
-use wire::obs::ObsSnapshot;
+use wire::obs::{ObsConfig, ObsSnapshot, StreamingRecorder};
 use wire::workloads::{export_trace, parse_trace, WorkloadId};
 use wire_campaign::{cache, execute, Cell, CACHE_FORMAT_VERSION};
 
@@ -82,9 +82,10 @@ const KEY: u64 = 7;
 fn obs_snapshot() -> &'static str {
     static JSON: OnceLock<String> = OnceLock::new();
     JSON.get_or_init(|| {
-        let (_, _, snapshot) =
-            run_setting_telemetry(WorkloadId::Tpch6S, Setting::Wire, Millis::from_mins(15), 1);
-        snapshot.to_json_string()
+        let cell = Cell::grid(WorkloadId::Tpch6S, Setting::Wire, Millis::from_mins(15), 1);
+        let obs = StreamingRecorder::with_config(ObsConfig::per_interval(cell.cfg.mape_interval));
+        cell.run(None, Some(obs.clone()));
+        obs.snapshot().to_json_string()
     })
 }
 
@@ -98,8 +99,11 @@ const BAD_COUNTS: [&str; 7] = [
     "-0.5",
     "18446744073709551616",
 ];
-/// Well-formed values outside a float column's domain (finite numbers).
-const BAD_FLOATS: [&str; 4] = ["nan", "NaN", "inf", "-inf"];
+/// Well-formed values outside a float column's domain (finite,
+/// non-negative numbers).
+const BAD_FLOATS: [&str; 7] = ["nan", "NaN", "inf", "-inf", "-1", "-60", "-0.5"];
+/// Well-formed values outside `u_mins`'s domain (finite, positive numbers).
+const BAD_U_MINS: [&str; 7] = ["0", "-15", "0.0", "-1e-9", "nan", "inf", "-inf"];
 
 /// FNV-1a, the cache's payload checksum: resealing a garbled payload under
 /// a matching header lets the damage reach the payload parser.
@@ -126,7 +130,8 @@ proptest! {
     ) {
         // u_mins, makespan, busy and wasted are floats; the rest are counts
         let bad = match col {
-            2 | 5 | 8 | 9 => BAD_FLOATS[pick % BAD_FLOATS.len()],
+            2 => BAD_U_MINS[pick],
+            5 | 8 | 9 => BAD_FLOATS[pick],
             _ => BAD_COUNTS[pick],
         };
         let valid = campaign_csv();

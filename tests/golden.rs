@@ -9,40 +9,16 @@
 
 mod common;
 
-use common::{run_digest, GOLDEN_DIGESTS};
-use wire::core::experiment::{build_policy, cloud_config_for, run_setting, Setting};
+use common::{run_digest, GOLDEN, GOLDEN_DIGESTS};
+use wire::campaign::Cell;
+use wire::core::experiment::{build_policy, cloud_config_for};
 use wire::prelude::*;
 use wire_chaos::InvariantChecker;
-
-const GOLDEN: &[(WorkloadId, Setting, u64, u64, u64, u64)] = &[
-    // (workload, setting, u_mins, seed, expected units, expected makespan_ms)
-    //
-    // Values are pinned against the vendored deterministic RNG
-    // (vendor/rand, splitmix64): the original seed constants came from a
-    // different generator and were re-derived when the RNG was vendored
-    // into the repo. They were derived — and verified to pass — against the
-    // PRE-optimization controller (the commit that vendored the RNG), so
-    // hot-path commits that claim to change zero decisions must land with
-    // these constants untouched.
-    (WorkloadId::Tpch6S, Setting::Wire, 15, 1, 1, 886_732),
-    (WorkloadId::Tpch6S, Setting::FullSite, 15, 1, 12, 574_631),
-    (WorkloadId::PageRankS, Setting::Wire, 1, 2, 21, 1_209_958),
-    (
-        WorkloadId::PageRankS,
-        Setting::ReactiveConserving,
-        30,
-        2,
-        1,
-        1_209_958,
-    ),
-    (WorkloadId::EpigenomicsS, Setting::Wire, 15, 3, 4, 2_642_446),
-    (WorkloadId::Tpch1S, Setting::PureReactive, 60, 4, 8, 876_997),
-];
 
 #[test]
 fn golden_costs_and_makespans() {
     for &(w, s, u, seed, units, makespan_ms) in GOLDEN {
-        let r = run_setting(w, s, Millis::from_mins(u), seed);
+        let r = Cell::grid(w, s, Millis::from_mins(u), seed).run(None, None);
         assert_eq!(
             r.charging_units,
             units,

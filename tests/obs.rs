@@ -12,10 +12,9 @@
 
 use std::path::PathBuf;
 
-use wire::core::experiment::{cloud_config_for, run_ensemble_obs, Setting};
-use wire::obs::ObsConfig;
+use wire::core::experiment::{cloud_config_for, Setting};
 use wire::prelude::*;
-use wire_campaign::{run_campaign, CacheMode, CampaignConfig, Cell};
+use wire_campaign::{run_campaign, run_ensemble, CacheMode, CampaignConfig, Cell};
 use wire_chaos::InvariantChecker;
 
 mod common;
@@ -91,12 +90,13 @@ fn ensemble_populates_tenant_and_slowdown_aggregates() {
             gap: Millis::from_mins(8),
         },
     );
-    let (result, rec) = run_ensemble_obs(
+    let rec = StreamingRecorder::new();
+    let result = run_ensemble(
         &spec,
         Setting::Wire,
         Millis::from_mins(15),
         7,
-        ObsConfig::default(),
+        Some(rec.clone()),
     );
     assert_eq!(result.per_workflow.len(), 4);
     let snap = rec.snapshot();

@@ -2,7 +2,8 @@
 //! numbers): Figure 2 bounds, Figure 3 divergence, §III-E worked examples,
 //! and the §IV-E headline ordering.
 
-use wire::core::experiment::{run_setting, Setting};
+use wire::campaign::Cell;
+use wire::core::experiment::Setting;
 use wire::prelude::*;
 
 /// Run one linear stage and return (cost ratio, time ratio) vs optimal, as in
@@ -99,8 +100,8 @@ fn headline_cost_gap_on_epigenomics() {
     // keeping slowdown bounded. Assert ≥ 2× cost gap and ≤ 6× slowdown on the
     // Genome S run at u = 15 min.
     let u = Millis::from_mins(15);
-    let full = run_setting(WorkloadId::EpigenomicsS, Setting::FullSite, u, 1);
-    let wire = run_setting(WorkloadId::EpigenomicsS, Setting::Wire, u, 1);
+    let full = Cell::grid(WorkloadId::EpigenomicsS, Setting::FullSite, u, 1).run(None, None);
+    let wire = Cell::grid(WorkloadId::EpigenomicsS, Setting::Wire, u, 1).run(None, None);
     let cost_gap = full.charging_units as f64 / wire.charging_units as f64;
     let slowdown = wire.makespan.as_ms() as f64 / full.makespan.as_ms() as f64;
     assert!(cost_gap >= 2.0, "cost gap {cost_gap}");
@@ -112,18 +113,20 @@ fn small_charging_units_favor_speed() {
     // §IV-E: "for small charging units WIRE prioritizes application execution
     // times over cost" — wire at u = 1 min must be faster than wire at
     // u = 60 min on a workload with real parallelism.
-    let fast = run_setting(
+    let fast = Cell::grid(
         WorkloadId::EpigenomicsS,
         Setting::Wire,
         Millis::from_mins(1),
         2,
-    );
-    let slow = run_setting(
+    )
+    .run(None, None);
+    let slow = Cell::grid(
         WorkloadId::EpigenomicsS,
         Setting::Wire,
         Millis::from_mins(60),
         2,
-    );
+    )
+    .run(None, None);
     assert!(
         fast.makespan <= slow.makespan,
         "u=1min {} vs u=60min {}",
@@ -139,12 +142,13 @@ fn overhead_is_small() {
     // §IV-F: controller wall time ≤ 0.49% of aggregate task time; allow 2%
     // slack for debug builds and tiny aggregates
     let (_, prof) = WorkloadId::PageRankS.generate(1);
-    let r = run_setting(
+    let r = Cell::grid(
         WorkloadId::PageRankS,
         Setting::Wire,
         Millis::from_mins(15),
         1,
-    );
+    )
+    .run(None, None);
     let frac = r.controller_wall.as_secs_f64() / prof.aggregate().as_secs_f64();
     assert!(frac < 0.02, "controller overhead {:.4}%", frac * 100.0);
 }

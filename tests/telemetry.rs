@@ -3,23 +3,36 @@
 //! round-trippable JSONL event stream, and per-MAPE-interval metrics rows
 //! that reconcile with the run.
 
-use wire::core::experiment::{cloud_config_for, run_setting_telemetry, Setting};
+use wire::campaign::Cell;
+use wire::core::experiment::Setting;
 use wire::dag::Millis;
-use wire::obs::ObsSnapshot;
+use wire::obs::{ObsConfig, ObsSnapshot, StreamingRecorder};
 use wire::simcloud::RunResult;
 use wire::telemetry::json::Json;
-use wire::telemetry::{export, json, DecisionAction, TelemetryBuffer, TelemetryEvent};
+use wire::telemetry::{
+    export, json, DecisionAction, TelemetryBuffer, TelemetryEvent, TelemetryHandle,
+};
 use wire::workloads::WorkloadId;
 
 /// A run that both grows and releases instances (epigenomics fans out to
 /// hundreds of short tasks, then narrows).
-fn recorded() -> (RunResult, TelemetryBuffer, ObsSnapshot) {
-    run_setting_telemetry(
+fn cell() -> Cell {
+    Cell::grid(
         WorkloadId::EpigenomicsS,
         Setting::Wire,
         Millis::from_mins(15),
         1,
     )
+}
+
+/// [`cell`] with full telemetry: the event stream and decision journal,
+/// and a streaming recorder with one window per MAPE interval.
+fn recorded() -> (RunResult, TelemetryBuffer, ObsSnapshot) {
+    let cell = cell();
+    let journal = TelemetryHandle::new();
+    let obs = StreamingRecorder::with_config(ObsConfig::per_interval(cell.cfg.mape_interval));
+    let result = cell.run(Some(journal.clone()), Some(obs.clone()));
+    (result, journal.take(), obs.snapshot())
 }
 
 #[test]
@@ -143,13 +156,7 @@ fn metrics_csv_rows_are_mape_intervals_that_reconcile_with_the_run() {
         col("pred_mae_ms"),
         col("pred_p90_rel"),
     );
-    let interval = cloud_config_for(
-        Setting::Wire,
-        Millis::from_mins(15),
-        WorkloadId::EpigenomicsS.spec().total_input_bytes,
-    )
-    .mape_interval
-    .as_ms();
+    let interval = cell().cfg.mape_interval.as_ms();
 
     let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
     assert!(rows.len() > 1, "one window for the whole run");
@@ -198,12 +205,7 @@ fn metrics_csv_rows_are_mape_intervals_that_reconcile_with_the_run() {
 #[test]
 fn recording_does_not_change_the_simulation() {
     let (recorded_run, _, _) = recorded();
-    let plain = wire::core::experiment::run_setting(
-        WorkloadId::EpigenomicsS,
-        Setting::Wire,
-        Millis::from_mins(15),
-        1,
-    );
+    let plain = cell().run(None, None);
     assert_eq!(plain.makespan, recorded_run.makespan);
     assert_eq!(plain.charging_units, recorded_run.charging_units);
     assert_eq!(plain.restarts, recorded_run.restarts);
