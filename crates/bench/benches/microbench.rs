@@ -547,8 +547,9 @@ fn bench_chaos_overhead(c: &mut Criterion) {
 
 fn bench_rank_queue_tick(c: &mut Criterion) {
     // one MAPE tick's worth of rank-scheduler traffic on a standing backlog:
-    // 250 dispatches and 250 newly ready tasks, then the dispatch-order walk
-    // the engine copies into every monitor snapshot
+    // 250 dispatches and 250 newly ready tasks, then one full dispatch-order
+    // walk, as WIRE's lookahead makes through the snapshot's lent order (a
+    // policy that never reads the order costs no walk)
     use wire_dag::{ExecProfile, TaskId, WorkflowBuilder};
     use wire_simcloud::{CloudConfig, RankKind, RankScheduler, Scheduler, WorkflowSlot};
 

@@ -216,9 +216,15 @@ pub fn lookahead_into<'s>(
     events.clear();
     free_now.clear();
 
-    // queued backlog in the framework's dispatch order
+    // queued backlog in the framework's dispatch order, copied in one walk
+    // of the lent order: `for_each`, because `extend` would step the chained
+    // iterator one `next` at a time; an empty order is not walked at all,
+    // since walking a scheduler allocates its iterator
     backlog.clear();
-    backlog.extend(snapshot.ready_in_dispatch_order.iter().copied());
+    let order = snapshot.ready_in_dispatch_order;
+    if !order.is_empty() {
+        order.iter().for_each(|t| backlog.push_back(t));
+    }
 
     // One pass over the instance rows: free and opening slots, the tasks
     // running now, and the seeds of both per-instance tables. Every row

@@ -17,7 +17,9 @@ use crate::config::CloudConfig;
 use crate::event::{EventKind, EventQueue};
 use crate::family::{FamilyId, FamilySpec, MemoryProfile};
 use crate::instance::{Instance, InstanceId, InstanceState, InstanceStateView, SlotArena};
-use crate::observe::{CompletionView, InstanceView, MonitorSnapshot, TaskView, WorkflowSlot};
+use crate::observe::{
+    CompletionView, DispatchOrder, InstanceView, MonitorSnapshot, TaskView, WorkflowSlot,
+};
 use crate::policy::{PoolPlan, ScalingPolicy, TerminateWhen};
 use crate::result::{InstanceBill, RunResult, TaskRecord, WorkflowOutcome};
 use crate::scheduler::{AnyScheduler, Scheduler};
@@ -393,7 +395,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     /// its instance (bin-packing), and co-resident true peaks exceeding a
     /// family's capacity OOM-kill the task whose dispatch crossed the line.
     /// An all-zero profile (or none) leaves the engine on the historical,
-    /// memory-blind dispatch path byte for byte.
+    /// memory-blind dispatch path byte for byte. A task whose demand or
+    /// peak exceeds the largest family's `mem_mb` is a [`RunError::Config`].
     pub fn with_memory(mut self, memory: &MemoryProfile) -> Result<Self, RunError> {
         if memory.len() != self.total_tasks {
             return Err(RunError::Config(format!(
@@ -402,8 +405,20 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 self.total_tasks
             )));
         }
-        self.mem_demand = memory.demands().to_vec();
-        self.mem_peak = memory.peaks().to_vec();
+        // a task no family can hold would park, or OOM and then park,
+        // until the simulated-time limit
+        let capacity = self.families.iter().map(|f| f.mem_mb).max().unwrap_or(0);
+        let (demands, peaks) = (memory.demands(), memory.peaks());
+        if let Some(t) = (0..memory.len()).find(|&t| demands[t].max(peaks[t]) > capacity) {
+            return Err(RunError::Config(format!(
+                "task {}: demand {} MB, peak {} MB, but the largest family holds {capacity} MB",
+                TaskId(t as u32),
+                demands[t],
+                peaks[t],
+            )));
+        }
+        self.mem_demand = demands.to_vec();
+        self.mem_peak = peaks.to_vec();
         self.memory_active =
             self.mem_demand.iter().any(|d| *d != 0) || self.mem_peak.iter().any(|p| *p != 0);
         Ok(self)
@@ -952,13 +967,16 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             let plan = self.policy.plan(&snapshot);
             let elapsed = started.elapsed();
             self.controller_wall += elapsed;
+            #[cfg(debug_assertions)]
+            {
+                let order = snapshot.ready_in_dispatch_order;
+                let mut queued: Vec<TaskId> = order.iter().skip(self.mem_blocked.len()).collect();
+                debug_assert_eq!(queued.len(), self.ready.len(), "ready order misses a task");
+                queued.reverse();
+                self.debug_pop_order = Some(queued);
+            }
             (plan, elapsed)
         };
-        #[cfg(debug_assertions)]
-        {
-            let queued = &self.snapshot_scratch.ready_order[self.mem_blocked.len()..];
-            self.debug_pop_order = Some(queued.iter().rev().copied().collect());
-        }
         self.new_completions.clear();
         self.interval_transfers.clear();
         self.interval_ooms = 0;
@@ -1811,7 +1829,6 @@ struct SnapshotScratch {
     /// Per instance id: listed in `dirty_instances`. A busy pool changes the
     /// same instance many times per interval; it is re-rendered once.
     instance_listed: Vec<bool>,
-    ready_order: Vec<TaskId>,
 }
 
 impl SnapshotScratch {
@@ -1951,8 +1968,8 @@ fn build_snapshot<'a, S: Scheduler>(
     new_completions: &'a [CompletionView],
     interval_transfers: &'a [Millis],
     interval_ooms: u32,
-    mem_blocked: &[TaskId],
-    ready: &S,
+    mem_blocked: &'a [TaskId],
+    ready: &'a S,
     spent_milli: u64,
 ) -> MonitorSnapshot<'a> {
     let visible = phases.len();
@@ -1991,12 +2008,6 @@ fn build_snapshot<'a, S: Scheduler>(
     scratch.dirty.clear();
     scratch.clear_instance_marks();
 
-    // memory-parked tasks lead (they retry ahead of the scheduler), then
-    // the scheduler's own order; empty prefix on the memory-blind path
-    scratch.ready_order.clear();
-    scratch.ready_order.extend_from_slice(mem_blocked);
-    scratch.ready_order.extend(ready.iter_in_order());
-
     // oracle: the maintained rows are exactly a fresh render, and every
     // Ready task is either memory-parked or queued in the scheduler
     #[cfg(debug_assertions)]
@@ -2011,11 +2022,6 @@ fn build_snapshot<'a, S: Scheduler>(
             debug_assert_eq!(*row, render(i), "stale snapshot row t{i}");
             ready_rows += (phases[i] == TaskPhase::Ready) as usize;
         }
-        debug_assert_eq!(
-            ready_rows,
-            scratch.ready_order.len(),
-            "ready order misses a task"
-        );
         debug_assert_eq!(
             ready.len() + mem_blocked.len(),
             ready_rows,
@@ -2045,7 +2051,9 @@ fn build_snapshot<'a, S: Scheduler>(
         new_completions,
         interval_transfers,
         interval_ooms,
-        ready_in_dispatch_order: &scratch.ready_order,
+        // memory-parked tasks lead (they retry ahead of the scheduler), then
+        // the scheduler's own order, walked only if the policy reads it
+        ready_in_dispatch_order: DispatchOrder::scheduled(mem_blocked, ready),
         spent_milli,
     }
 }

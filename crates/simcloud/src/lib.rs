@@ -50,7 +50,8 @@ pub use engine::{Engine, RunError};
 pub use family::{FamilyId, FamilySpec, MemoryProfile, SpotSpec};
 pub use instance::{InstanceId, InstanceStateView};
 pub use observe::{
-    CompletionView, InstanceView, MonitorSnapshot, SnapshotBuffers, TaskView, WorkflowSlot,
+    CompletionView, DispatchOrder, InstanceView, MonitorSnapshot, SnapshotBuffers, TaskView,
+    WorkflowSlot,
 };
 pub use policy::{PoolPlan, ScalingPolicy, TerminateWhen};
 pub use result::{RunResult, TaskRecord, WorkflowOutcome};

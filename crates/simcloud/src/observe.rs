@@ -10,6 +10,7 @@
 use crate::config::CloudConfig;
 use crate::family::FamilyId;
 use crate::instance::{InstanceId, InstanceStateView};
+use crate::scheduler::Scheduler;
 use serde::{Deserialize, Serialize};
 use wire_dag::{Millis, StageId, TaskId, TaskSpec, Workflow, WorkflowId};
 
@@ -195,14 +196,68 @@ pub struct MonitorSnapshot<'a> {
     /// observes these as exit-137 restarts). Always zero on the memory-blind
     /// legacy cloud.
     pub interval_ooms: u32,
-    /// Ready tasks in the order the framework would dispatch them.
-    pub ready_in_dispatch_order: &'a [TaskId],
+    /// Ready tasks in the order the framework would dispatch them, lent
+    /// lazily: a policy that never walks it costs the engine nothing.
+    pub ready_in_dispatch_order: DispatchOrder<'a>,
     /// Committed spend so far in milli-dollars: units already billed at
     /// termination plus the units every live instance has started (Launching
     /// owes its first unit; Draining owes through its drain boundary), each
     /// at its family's price. Computed only when [`CloudConfig::budget`] is
     /// set; always 0 on the unconstrained cloud.
     pub spent_milli: u64,
+}
+
+/// The ready tasks in dispatch order, borrowed rather than copied: a head
+/// slice, then the queue of a live [`Scheduler`] walked through
+/// [`Scheduler::iter_in_order`]. The engine lends its memory-parked tasks
+/// (which retry ahead of the scheduler) as the head and its scheduler as the
+/// tail, so a tick whose policy never reads the order never walks the
+/// backlog. A hand-built snapshot lends its whole order as the head.
+#[derive(Clone, Copy)]
+pub struct DispatchOrder<'a> {
+    head: &'a [TaskId],
+    scheduler: Option<&'a dyn Scheduler>,
+}
+
+impl<'a> DispatchOrder<'a> {
+    /// An order given in full as a slice.
+    pub(crate) fn from_slice(order: &'a [TaskId]) -> Self {
+        DispatchOrder {
+            head: order,
+            scheduler: None,
+        }
+    }
+
+    /// `parked`, then the queue of `scheduler` in its pop order.
+    pub fn scheduled(parked: &'a [TaskId], scheduler: &'a dyn Scheduler) -> Self {
+        DispatchOrder {
+            head: parked,
+            scheduler: Some(scheduler),
+        }
+    }
+
+    /// The tasks in dispatch order; walks the scheduler's queue only as far
+    /// as the caller pulls.
+    pub fn iter(&self) -> impl Iterator<Item = TaskId> + 'a {
+        let queued = self.scheduler.into_iter().flat_map(|s| s.iter_in_order());
+        self.head.iter().copied().chain(queued)
+    }
+
+    /// Number of ready tasks, in O(1); exactly as many as
+    /// [`iter`](Self::iter) yields (the [`Scheduler`] contract).
+    pub fn len(&self) -> usize {
+        self.head.len() + self.scheduler.map_or(0, |s| s.len())
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl std::fmt::Debug for DispatchOrder<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Owned backing storage for a [`MonitorSnapshot`] — the caller-side
@@ -242,7 +297,7 @@ impl SnapshotBuffers {
             new_completions: &self.new_completions,
             interval_transfers: &self.interval_transfers,
             interval_ooms: self.interval_ooms,
-            ready_in_dispatch_order: &self.ready_in_dispatch_order,
+            ready_in_dispatch_order: DispatchOrder::from_slice(&self.ready_in_dispatch_order),
             spent_milli: self.spent_milli,
         }
     }

@@ -10,11 +10,12 @@
 //! ([`RankScheduler`]) and a per-workflow [`SchedulerSpec::Portfolio`] that
 //! races the rank members in cheap forward simulation at submission time.
 //!
-//! The trait is part of the *observable* control surface: the engine fills
-//! [`crate::MonitorSnapshot::ready_in_dispatch_order`] from
-//! [`Scheduler::iter_in_order`] every MAPE tick, so the lookahead planner's
-//! dispatch-order projection follows whatever scheduler is installed without
-//! knowing which one it is.
+//! The trait is part of the *observable* control surface: every MAPE tick
+//! the engine lends the scheduler to the policy through
+//! [`crate::MonitorSnapshot::ready_in_dispatch_order`], whose iterator walks
+//! [`Scheduler::iter_in_order`], so the lookahead planner's dispatch-order
+//! projection follows whatever scheduler is installed without knowing which
+//! one it is.
 
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
@@ -45,10 +46,11 @@ pub const BOOSTED_PER_STAGE: u32 = 5;
 /// * [`pop`](Scheduler::pop) yields the next task to place on a free slot.
 /// * [`iter_in_order`](Scheduler::iter_in_order) must visit exactly the
 ///   queued tasks in the order `pop` would drain them *without* consuming
-///   the queue. The engine snapshots it into
+///   the queue. The engine lends it, uncopied, as
 ///   [`crate::MonitorSnapshot::ready_in_dispatch_order`], which the lookahead
 ///   planner replays to project dispatch — a scheduler whose iteration order
-///   diverges from its pop order silently degrades lookahead quality.
+///   diverges from its pop order silently degrades lookahead quality. Debug
+///   builds check every pop against the order the last tick advertised.
 pub trait Scheduler {
     /// Rank-precompute hook: observe one submitted workflow (with its slice
     /// of the global index space) and its ground-truth profile. Called in
@@ -67,9 +69,10 @@ pub trait Scheduler {
     fn pop(&mut self) -> Option<TaskId>;
 
     /// Dispatch order without consuming the queue; must match the order a
-    /// sequence of `pop` calls would produce. The engine calls this on every
-    /// MAPE tick over the whole ready backlog, so it must be an in-order walk
-    /// of the queue's own structure, not a copy-and-sort per call.
+    /// sequence of `pop` calls would produce. A policy reading the
+    /// snapshot's dispatch order pulls from this iterator, as far as it
+    /// reads, so it must be a lazy in-order walk of the queue's own
+    /// structure, not a copy-and-sort per call.
     fn iter_in_order(&self) -> Box<dyn Iterator<Item = TaskId> + '_>;
 
     /// Number of queued tasks.

@@ -3,8 +3,9 @@
 
 use wire_dag::{ExecProfile, Millis, TaskId, WorkflowBuilder};
 use wire_simcloud::{
-    CloudConfig, InstanceId, MonitorSnapshot, PoolPlan, RunError, ScalingPolicy, Session,
-    TelemetryEvent, TelemetryHandle, TerminateWhen, TransferModel,
+    CloudConfig, FamilySpec, HoldPolicy, InstanceId, MemoryProfile, MonitorSnapshot, PoolPlan,
+    RunError, ScalingPolicy, Session, TelemetryEvent, TelemetryHandle, TerminateWhen,
+    TransferModel,
 };
 
 fn chain(n: usize, secs: u64) -> (wire_dag::Workflow, ExecProfile) {
@@ -212,4 +213,39 @@ fn sub_second_tasks_complete() {
     assert_eq!(r.task_records.len(), 50);
     assert_eq!(r.makespan, Millis::from_ms(150));
     assert_eq!(r.charging_units, 1);
+}
+
+/// A task whose memory demand or true peak exceeds the largest family's
+/// capacity could never be placed (or would OOM forever): the run is
+/// rejected before it starts, naming the task and the capacity. A task at
+/// exactly the capacity runs.
+#[test]
+fn memory_beyond_every_family_is_rejected_up_front() {
+    let (wf, prof) = chain(3, 60);
+    let cfg = CloudConfig {
+        // the initial instance is family 0, the largest
+        families: vec![
+            FamilySpec::new("big", 1, 2_000).memory_mb(2_048),
+            FamilySpec::new("small", 1, 1_000).memory_mb(1_024),
+        ],
+        ..cfg()
+    };
+    let run = |demand: i64, peak: i64| {
+        let memory = MemoryProfile::new(vec![100, demand, 100], vec![100, peak, 100]).unwrap();
+        Session::new(cfg.clone())
+            .transfer(TransferModel::none())
+            .policy(HoldPolicy)
+            .memory(memory)
+            .submit(&wf, &prof)
+            .run()
+    };
+    for (demand, peak) in [(2_049, 2_049), (100, 2_049), (2_049, 100)] {
+        let err = run(demand, peak).unwrap_err();
+        let RunError::Config(msg) = &err else {
+            panic!("demand {demand} peak {peak}: {err:?}");
+        };
+        assert!(msg.contains("t1") && msg.contains("2048 MB"), "{msg}");
+    }
+    let ok = run(2_048, 2_048).unwrap();
+    assert_eq!(ok.task_records.len(), 3);
 }
