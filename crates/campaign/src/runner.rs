@@ -109,18 +109,6 @@ pub struct CampaignReport {
     pub wall: Duration,
 }
 
-impl CampaignReport {
-    /// Cache hits as a fraction of all cells.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.executed;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Run every cell, honoring the cache, and merge deterministically.
 pub fn run_campaign(cells: &[Cell], cfg: &CampaignConfig) -> CampaignReport {
     let t0 = Instant::now();

@@ -86,8 +86,6 @@ struct CheckerState {
     evicted_pending: Vec<u32>,
     /// Total bill re-derived from terminations, in milli-dollars.
     billed_milli: u64,
-    /// Charging units billed per family id.
-    billed_units: BTreeMap<u32, u64>,
     last_at: Millis,
     events: u64,
     ticks: u64,
@@ -130,7 +128,7 @@ impl CheckerState {
     /// Memory capacity (MB) of `instance`'s family.
     fn mem_capacity(&mut self, instance: u32) -> i64 {
         let fam = self.inst(instance).family as usize;
-        self.families.get(fam).map(|f| f.mem_mb).unwrap_or(i64::MAX)
+        self.families[fam].mem_mb
     }
 
     fn task(&mut self, id: u32) -> &mut TaskTrack {
@@ -329,11 +327,7 @@ impl CheckerState {
                         ),
                     );
                 }
-                if !self
-                    .families
-                    .get(fam as usize)
-                    .is_some_and(FamilySpec::is_spot)
-                {
+                if !self.families[fam as usize].is_spot() {
                     self.violate(
                         at,
                         format!("on-demand instance {instance} (family {fam}) spot-evicted"),
@@ -572,12 +566,7 @@ impl CheckerState {
                 } => units_billed(charge_start, until, unit),
                 InstPhase::Absent | InstPhase::Terminated => continue,
             };
-            let price = self
-                .families
-                .get(it.family as usize)
-                .map(FamilySpec::unit_price_milli)
-                .unwrap_or(FamilySpec::LEGACY_PRICE_MILLI);
-            spent += units * price;
+            spent += units * self.families[it.family as usize].unit_price_milli();
         }
         spent
     }
@@ -605,11 +594,7 @@ impl CheckerState {
                 ),
             );
         }
-        let price0 = self
-            .families
-            .first()
-            .map(FamilySpec::unit_price_milli)
-            .unwrap_or(FamilySpec::LEGACY_PRICE_MILLI);
+        let price0 = self.families[0].unit_price_milli();
         let expected = spent_milli.saturating_add(launch as u64 * price0);
         if committed_milli != expected {
             self.violate(
@@ -777,13 +762,7 @@ impl CheckerState {
             );
         }
         // per-family billing ledger (conservation against RunResult::cost_milli)
-        let price = self
-            .families
-            .get(family as usize)
-            .map(FamilySpec::unit_price_milli)
-            .unwrap_or(FamilySpec::LEGACY_PRICE_MILLI);
-        self.billed_milli += units * price;
-        *self.billed_units.entry(family).or_default() += units;
+        self.billed_milli += units * self.families[family as usize].unit_price_milli();
         for p in evicted {
             self.task(p.task).running_on = None;
             self.pending_resubmits.push(p);
@@ -890,7 +869,7 @@ impl InvariantReport {
 /// Cloneable tick-level invariant checker; attach a clone as the engine's
 /// [`Recorder`] (e.g. via [`wire_simcloud::Session::recording`]) and call
 /// [`report`](InvariantChecker::report) after the run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct InvariantChecker(Arc<Mutex<CheckerState>>);
 
 impl InvariantChecker {
@@ -951,15 +930,6 @@ impl InvariantChecker {
     /// conservation.
     pub fn billed_milli(&self) -> u64 {
         self.lock().billed_milli
-    }
-
-    /// Charging units billed per family id, re-derived from the event stream.
-    pub fn billed_units_by_family(&self) -> Vec<(u32, u64)> {
-        self.lock()
-            .billed_units
-            .iter()
-            .map(|(&f, &u)| (f, u))
-            .collect()
     }
 
     /// Apply the planner's release postconditions to a recorded decision
@@ -1226,6 +1196,43 @@ mod tests {
                 .any(|v| v.contains("forgives the open unit")),
             "{}",
             r.render()
+        );
+    }
+
+    #[test]
+    fn an_unknown_family_is_reported_and_still_billed() {
+        let c = InvariantChecker::new(&cfg()); // one legacy row: family 0
+        rec(&c, 0, TelemetryEvent::InstanceRequested { instance: 0 });
+        rec(
+            &c,
+            0,
+            TelemetryEvent::InstanceFamilyAssigned {
+                instance: 0,
+                family: 7,
+            },
+        );
+        rec(&c, 3, TelemetryEvent::InstanceReady { instance: 0 });
+        // the instance stays on family 0, so its bill prices at that row
+        rec(
+            &c,
+            20,
+            TelemetryEvent::InstanceTerminated {
+                instance: 0,
+                units: 2,
+            },
+        );
+        let r = c.report();
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.contains("instance 0 assigned unknown family 7")),
+            "{}",
+            r.render()
+        );
+        assert_eq!(r.violations.len(), 1, "{}", r.render());
+        assert_eq!(
+            c.billed_milli(),
+            2 * cfg().resolved_families()[0].price_milli
         );
     }
 

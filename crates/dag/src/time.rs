@@ -108,9 +108,15 @@ impl Millis {
     }
 
     /// Scale a duration by a non-negative float, rounding to nearest ms.
+    /// A factor of exactly 1.0 returns `self` without the float round-trip;
+    /// that cannot change a result, since every duration up to 2^53 ms
+    /// converts to `f64` and back exactly.
     #[inline]
     pub fn scale(self, factor: f64) -> Millis {
         debug_assert!(factor >= 0.0 && factor.is_finite());
+        if factor == 1.0 {
+            return self;
+        }
         Millis((self.0 as f64 * factor).round() as u64)
     }
 }

@@ -105,3 +105,44 @@ proptest! {
         }
     }
 }
+
+/// Durations up to 2^53 ms, the range in which every `u64` converts to
+/// `f64` exactly; the end points are drawn on their own.
+fn arb_exact_ms() -> impl Strategy<Value = u64> {
+    (0u64..4, 0u64..=1 << 53).prop_map(|(pick, x)| match pick {
+        0 => 0,
+        1 => 1 << 53,
+        _ => x,
+    })
+}
+
+/// Non-negative factors other than 1.0, its two neighbours drawn on their
+/// own.
+fn arb_factor() -> impl Strategy<Value = f64> {
+    let one = 1.0f64.to_bits();
+    (0u64..4, 0.0f64..8.0).prop_map(move |(pick, f)| match pick {
+        0 => f64::from_bits(one - 1),
+        1 => f64::from_bits(one + 1),
+        _ if f == 1.0 => 0.5,
+        _ => f,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    // `scale(1.0)` skips the float round-trip; the round-trip would have
+    // returned the same duration
+    #[test]
+    fn scaling_by_one_is_the_identity(x in arb_exact_ms()) {
+        prop_assert_eq!(Millis::from_ms(x).scale(1.0), Millis::from_ms(x));
+        prop_assert_eq!(((x as f64) * 1.0).round() as u64, x);
+    }
+
+    // every other factor takes the float path: multiply, round to nearest
+    #[test]
+    fn scaling_rounds_to_the_nearest_ms(x in arb_exact_ms(), f in arb_factor()) {
+        let expected = ((x as f64) * f).round() as u64;
+        prop_assert_eq!(Millis::from_ms(x).scale(f), Millis::from_ms(expected));
+    }
+}

@@ -136,10 +136,6 @@ impl GrowAheadWirePolicy {
     pub fn mode_switches(&self) -> u32 {
         self.switches
     }
-
-    pub fn is_urgent(&self) -> bool {
-        self.urgent
-    }
 }
 
 impl ScalingPolicy for GrowAheadWirePolicy {

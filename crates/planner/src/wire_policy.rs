@@ -158,11 +158,6 @@ impl WirePolicy {
         self
     }
 
-    /// The online peak-memory model (observations, margin, prediction).
-    pub fn memory_model(&self) -> &MemoryModel {
-        &self.mem_model
-    }
-
     /// Attach a telemetry handle (usually a clone of the one given to the
     /// engine as its recorder): every MAPE tick's Plan decision is journaled
     /// into the shared buffer. Predictions go to [`Self::with_obs`].

@@ -6,7 +6,7 @@
 //! * The engine walks the scheduler's queue only when someone reads the
 //!   order: a static-policy run materializes no ready-order entries outside
 //!   the debug pop-order oracle, under every scheduler and with memory-parked
-//!   tasks.
+//!   tasks. Nor does dispatch ever pop an empty queue.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -413,10 +413,12 @@ struct Probe {
     ticks: Cell<u32>,
     /// Ticks whose order began with at least one memory-parked task.
     parked_ticks: Cell<u32>,
+    /// `pop` calls that found the queue empty.
+    empty_pops: Cell<u32>,
 }
 
 /// Wraps the session's scheduler and counts the task ids its
-/// `iter_in_order` yields, by walker.
+/// `iter_in_order` yields, by walker, and the pops that came back empty.
 struct Counting {
     inner: AnyScheduler,
     probe: Rc<Probe>,
@@ -440,6 +442,8 @@ impl Scheduler for Counting {
     fn pop(&mut self) -> Option<TaskId> {
         let task = self.inner.pop();
         self.probe.popped.borrow_mut().extend(task);
+        let empty = &self.probe.empty_pops;
+        empty.set(empty.get() + task.is_none() as u32);
         task
     }
 
@@ -595,6 +599,8 @@ fn a_static_policy_tick_walks_no_backlog() {
             assert_eq!(oracle.calls.get(), calls, "{at}: oracle walks");
             assert_eq!(oracle.yields.get(), yields, "{at}: oracle entries");
             assert_eq!(probe.parked_ticks.get() > 0, memory, "{at}: parked ticks");
+            // dispatch asks for a task only while the queue holds one
+            assert_eq!(probe.empty_pops.get(), 0, "{at}: pops of an empty queue");
         }
     }
 }

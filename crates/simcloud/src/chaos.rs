@@ -8,9 +8,10 @@
 //! dispatch of a stage), so a chaos run is exactly as deterministic and
 //! seed-reproducible as a plain run: the same `(submissions, config, seed,
 //! policy, plan)` tuple replays the identical event sequence. An *empty*
-//! plan changes nothing — the engine takes no chaos branch, so plain runs
-//! stay byte-identical to the pre-chaos engine (the `tests/golden.rs`
-//! digests enforce this).
+//! plan injects nothing: every scale factor stays 1.0, which
+//! [`wire_dag::Millis::scale`] returns unchanged, and no stage trigger is
+//! armed, so a plain run is a run with an empty plan (the
+//! `tests/golden.rs` digests pin it).
 //!
 //! The grammar covers the adversarial scenarios of the paper's Execute
 //! phase (§III-D) that a Poisson MTBF knob cannot script precisely:
@@ -139,14 +140,6 @@ impl FaultPlan {
     /// dispatches a task.
     pub fn kill_pool_at_stage_start(self, stage: StageId) -> Self {
         self.fault(FaultTrigger::StageStart(stage), FaultAction::KillAllRunning)
-    }
-
-    /// Crash instance `id` the moment global stage `stage` first dispatches.
-    pub fn kill_instance_at_stage_start(self, stage: StageId, id: InstanceId) -> Self {
-        self.fault(
-            FaultTrigger::StageStart(stage),
-            FaultAction::KillInstance(id),
-        )
     }
 
     /// Freeze monitoring for `ticks` MAPE ticks starting at time `at`.

@@ -55,11 +55,12 @@ pub struct CloudConfig {
     /// against policies that starve the workflow).
     pub max_sim_time: Millis,
     /// The priced instance-family table. Empty (the default) is the legacy
-    /// homogeneous cloud: one implicit on-demand family with
-    /// `slots_per_instance` slots, speed 1.0 and the reference price —
-    /// byte-identical to the pre-family engine. When non-empty, family 0 is
-    /// the default launch target; policies may steer launches onto other
-    /// rows via [`crate::PoolPlan::launch_families`].
+    /// homogeneous cloud: it resolves ([`Self::resolved_families`]) to one
+    /// on-demand row with `slots_per_instance` slots, speed 1.0, unlimited
+    /// memory and the reference price, and the engine stores that resolved
+    /// table in its own copy of the config. Family 0 is the default launch
+    /// target; policies may steer launches onto other rows via
+    /// [`crate::PoolPlan::launch_families`].
     #[serde(default)]
     pub families: Vec<FamilySpec>,
     /// Per-session spend ceiling, or `None` for the unconstrained cloud.

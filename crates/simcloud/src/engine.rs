@@ -15,7 +15,7 @@
 use crate::chaos::{ChaosState, FaultAction, FaultPlan, FaultTrigger};
 use crate::config::CloudConfig;
 use crate::event::{EventKind, EventQueue};
-use crate::family::{FamilyId, FamilySpec, MemoryProfile};
+use crate::family::{FamilyId, MemoryProfile};
 use crate::instance::{Instance, InstanceId, InstanceState, InstanceStateView, SlotArena};
 use crate::observe::{
     CompletionView, DispatchOrder, InstanceView, MonitorSnapshot, TaskView, WorkflowSlot,
@@ -138,11 +138,9 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
 
     instances: Vec<Instance>,
     instance_epochs: Vec<u32>,
-    /// Family of every instance ever launched (parallel to `instances`).
+    /// Family of every instance ever launched (parallel to `instances`),
+    /// an index into `config.families`.
     instance_family: Vec<FamilyId>,
-    /// Resolved family table: `config.families`, or the single implicit
-    /// legacy row when the config's table is empty.
-    families: Vec<FamilySpec>,
     /// More than one family row? The `InstanceFamilyAssigned` telemetry
     /// event is only emitted then, keeping single-family runs byte-identical
     /// to the pre-family engine.
@@ -156,14 +154,12 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     /// ground truth deciding OOM kills.
     mem_peak_resident: Vec<i64>,
     /// Working per-task memory claim: the declared demand, raised to the
-    /// observed peak after an OOM restart (retry-with-more-memory).
+    /// observed peak after an OOM restart (retry-with-more-memory). Empty
+    /// until [`Self::with_memory`]; read through [`Self::claim_of`].
     mem_demand: Vec<i64>,
-    /// Ground-truth per-task peak memory.
+    /// Ground-truth per-task peak memory. Empty until
+    /// [`Self::with_memory`]; read through [`Self::peak_of`].
     mem_peak: Vec<i64>,
-    /// A memory profile with any nonzero entry is attached: placement takes
-    /// the bin-packing path. Off (the default) ⇒ the legacy dispatch loop
-    /// runs untouched.
-    memory_active: bool,
     /// Ready tasks popped from the scheduler that currently fit no
     /// instance's free memory; retried first (in pop order) each dispatch.
     mem_blocked: Vec<TaskId>,
@@ -244,7 +240,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     #[allow(clippy::too_many_arguments)]
     pub fn from_submissions_with(
         submissions: Vec<(Millis, &'a Workflow, &'a ExecProfile)>,
-        config: CloudConfig,
+        mut config: CloudConfig,
         transfer_model: TransferModel,
         policy: P,
         seed: u64,
@@ -293,8 +289,10 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             stage_base += wf.num_stages() as u32;
         }
         let n = task_base as usize;
-        let families = config.resolved_families();
-        let fam_multi = families.len() > 1;
+        // every reader indexes the resolved table: an empty one is the
+        // single legacy row
+        config.families = config.resolved_families();
+        let fam_multi = config.families.len() > 1;
         let mut ready = make_scheduler(n, stage_base as usize);
         // rank-precompute hook: every scheduler sees each submission's DAG
         // and ground-truth profile before the first event fires
@@ -329,14 +327,12 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             instances: Vec::new(),
             instance_epochs: Vec::new(),
             instance_family: Vec::new(),
-            families,
             fam_multi,
             slot_arena: SlotArena::new(config.slots_per_instance),
             mem_used: Vec::new(),
             mem_peak_resident: Vec::new(),
-            mem_demand: vec![0; n],
-            mem_peak: vec![0; n],
-            memory_active: false,
+            mem_demand: Vec::new(),
+            mem_peak: Vec::new(),
             mem_blocked: Vec::new(),
             dispatchable: std::collections::BTreeSet::new(),
             count_launching: 0,
@@ -381,8 +377,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 
     /// Attach a scripted chaos [`FaultPlan`] (builder-style; see
-    /// [`crate::chaos`]). An empty plan leaves the engine on the historical
-    /// code path — the run is byte-identical to one without this call.
+    /// [`crate::chaos`]). An empty plan injects nothing, so the run equals
+    /// one without this call.
     pub fn with_chaos(mut self, plan: FaultPlan) -> Result<Self, RunError> {
         plan.validate().map_err(RunError::Config)?;
         let stages: usize = self.slots.iter().map(|s| s.workflow.num_stages()).sum();
@@ -391,12 +387,13 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 
     /// Attach a per-task [`MemoryProfile`] over the session-global task
-    /// index space. Placement then reserves each task's declared demand on
-    /// its instance (bin-packing), and co-resident true peaks exceeding a
-    /// family's capacity OOM-kill the task whose dispatch crossed the line.
-    /// An all-zero profile (or none) leaves the engine on the historical,
-    /// memory-blind dispatch path byte for byte. A task whose demand or
-    /// peak exceeds the largest family's `mem_mb` is a [`RunError::Config`].
+    /// index space. Placement reserves each task's declared demand on its
+    /// instance (first-fit bin-packing), and co-resident true peaks
+    /// exceeding a family's capacity OOM-kill the task whose dispatch
+    /// crossed the line. Without a profile every task claims and peaks at
+    /// 0 MB, so an all-zero profile runs exactly like none. A task whose
+    /// demand or peak exceeds the largest family's `mem_mb` is a
+    /// [`RunError::Config`].
     pub fn with_memory(mut self, memory: &MemoryProfile) -> Result<Self, RunError> {
         if memory.len() != self.total_tasks {
             return Err(RunError::Config(format!(
@@ -407,7 +404,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
         // a task no family can hold would park, or OOM and then park,
         // until the simulated-time limit
-        let capacity = self.families.iter().map(|f| f.mem_mb).max().unwrap_or(0);
+        let families = &self.config.families;
+        let capacity = families.iter().map(|f| f.mem_mb).max().unwrap_or(0);
         let (demands, peaks) = (memory.demands(), memory.peaks());
         if let Some(t) = (0..memory.len()).find(|&t| demands[t].max(peaks[t]) > capacity) {
             return Err(RunError::Config(format!(
@@ -419,9 +417,19 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
         self.mem_demand = demands.to_vec();
         self.mem_peak = peaks.to_vec();
-        self.memory_active =
-            self.mem_demand.iter().any(|d| *d != 0) || self.mem_peak.iter().any(|p| *p != 0);
         Ok(self)
+    }
+
+    /// Working memory claim of `t` in MB (0 without a memory profile).
+    #[inline]
+    fn claim_of(&self, t: TaskId) -> i64 {
+        self.mem_demand.get(t.index()).copied().unwrap_or(0)
+    }
+
+    /// Ground-truth peak memory of `t` in MB (0 without a memory profile).
+    #[inline]
+    fn peak_of(&self, t: TaskId) -> i64 {
+        self.mem_peak.get(t.index()).copied().unwrap_or(0)
     }
 
     /// Run to completion.
@@ -645,11 +653,11 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 
     /// Spot reclamation: draw an exponential time-to-eviction for a newly
-    /// running spot instance. On-demand families (and the legacy cloud)
-    /// never reach the RNG draw, so their runs stay byte-identical to the
-    /// pre-spot engine — the same `Option` gate as [`Self::schedule_failure`].
+    /// running spot instance. On-demand families never reach the RNG draw,
+    /// so their runs stay byte-identical to the pre-spot engine — the same
+    /// `Option` gate as [`Self::schedule_failure`].
     fn schedule_eviction(&mut self, id: InstanceId) {
-        let family = &self.families[self.instance_family[id.index()] as usize];
+        let family = &self.config.families[self.instance_family[id.index()] as usize];
         let Some(spot) = &family.spot else {
             return;
         };
@@ -751,10 +759,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         if inst.is_running() {
             self.dispatchable.insert(instance.0);
         }
-        if self.memory_active {
-            self.mem_used[instance.index()] -= self.mem_demand[task.index()];
-            self.mem_peak_resident[instance.index()] -= self.mem_peak[task.index()];
-        }
+        self.mem_used[instance.index()] -= self.claim_of(task);
+        self.mem_peak_resident[instance.index()] -= self.peak_of(task);
         let occupancy = self.clock - assigned_at;
         self.busy_slot_time += occupancy;
         self.set_phase(task, TaskPhase::Done);
@@ -785,11 +791,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             input_bytes,
             exec_time: exec,
             transfer_time: transfer,
-            peak_mb: if self.memory_active {
-                self.mem_peak[task.index()]
-            } else {
-                0
-            },
+            peak_mb: self.peak_of(task),
         });
         self.interval_transfers.push(transfer);
         self.emit(TelemetryEvent::TaskCompleted {
@@ -865,8 +867,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         if inst.is_running() {
             self.dispatchable.insert(instance.0);
         }
-        self.mem_used[instance.index()] -= self.mem_demand[task.index()];
-        self.mem_peak_resident[instance.index()] -= self.mem_peak[task.index()];
+        self.mem_used[instance.index()] -= self.claim_of(task);
+        self.mem_peak_resident[instance.index()] -= self.peak_of(task);
         let sunk = self.clock - assigned_at;
         self.wasted_slot_time += sunk;
         self.epochs[task.index()] += 1; // cancels the in-flight TaskDone
@@ -876,15 +878,17 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.interval_ooms += 1;
         self.set_phase(task, TaskPhase::Ready);
         self.ready_at[task.index()] = self.clock;
-        // next placement must budget for what the task actually used
-        self.mem_demand[task.index()] =
-            self.mem_demand[task.index()].max(self.mem_peak[task.index()]);
+        // next placement must budget for what the task actually used (an
+        // OOM needs a nonzero peak, so a memory profile is attached)
+        let peak = self.peak_of(task);
+        let claim = self.claim_of(task).max(peak);
+        self.mem_demand[task.index()] = claim;
         self.push_resubmit(task);
         self.emit(TelemetryEvent::TaskOom {
             task: task.index() as u32,
             instance: instance.0,
-            demand_mb: self.mem_demand[task.index()],
-            peak_mb: self.mem_peak[task.index()],
+            demand_mb: claim,
+            peak_mb: peak,
         });
         self.emit(TelemetryEvent::TaskResubmitted {
             task: task.index() as u32,
@@ -918,7 +922,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 } => Instance::units_billed(charge_start, terminate_at, unit),
                 InstanceState::Terminated { .. } => continue,
             };
-            spent += units * self.families[self.instance_family[i] as usize].unit_price_milli();
+            spent +=
+                units * self.config.families[self.instance_family[i] as usize].unit_price_milli();
         }
         spent
     }
@@ -1007,7 +1012,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             // hard veto and the commit bound (family 0 is the launch target,
             // so one started unit per planned launch at family-0 price)
             let launch = plan.total_launches();
-            let price0 = self.families[0].unit_price_milli();
+            let price0 = self.config.families[0].unit_price_milli();
             self.emit(TelemetryEvent::BudgetVerdict {
                 spent_milli,
                 ceiling_milli: b.ceiling_milli,
@@ -1076,10 +1081,10 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         // launches, clamped to the site capacity: family-0 launches first
         // (the legacy field), then steered per-family entries in plan order
         for &f in &plan.launch_families {
-            if f as usize >= self.families.len() {
+            if f as usize >= self.config.families.len() {
                 return Err(RunError::InvalidPlan(format!(
                     "launch onto unknown family {f} (table has {})",
-                    self.families.len()
+                    self.config.families.len()
                 )));
             }
         }
@@ -1087,11 +1092,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         let allowed = self.config.site_capacity.saturating_sub(active);
         let n = total_launches.min(allowed);
         // chaos lag jitter applies to launches planned while it is in effect
-        let lag = if self.chaos.lag_factor == 1.0 {
-            self.config.launch_lag
-        } else {
-            self.config.launch_lag.scale(self.chaos.lag_factor)
-        };
+        let lag = self.config.launch_lag.scale(self.chaos.lag_factor);
         for k in 0..n {
             let family = if k < plan.launch {
                 0
@@ -1147,8 +1148,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             Instance::units_billed(charge_start, self.clock, self.config.charging_unit)
         };
         self.units_total += units;
-        self.cost_milli +=
-            units * self.families[self.instance_family[id.index()] as usize].unit_price_milli();
+        self.cost_milli += units
+            * self.config.families[self.instance_family[id.index()] as usize].unit_price_milli();
         #[cfg(debug_assertions)]
         {
             self.debug_billed += units;
@@ -1165,11 +1166,9 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             units,
         });
 
-        if self.memory_active {
-            // the whole residency died with the instance
-            self.mem_used[id.index()] = 0;
-            self.mem_peak_resident[id.index()] = 0;
-        }
+        // the whole residency died with the instance
+        self.mem_used[id.index()] = 0;
+        self.mem_peak_resident[id.index()] = 0;
         for task in tasks.drain(..) {
             debug_assert_eq!(
                 self.task_phase[task.index()],
@@ -1243,41 +1242,17 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         task
     }
 
-    /// Greedily assign queued ready tasks to free slots (instances in id
-    /// order; FIFO within priority class).
+    /// Greedily assign queued ready tasks to free slots, in the scheduler's
+    /// pop order. Placement is first-fit bin-packing over *claimed* memory
+    /// ([`Self::try_place`]). Tasks that fit no instance park in
+    /// `mem_blocked` and retry — in original pop order, ahead of the
+    /// scheduler — at every subsequent dispatch. Without a memory profile
+    /// every claim is 0, nothing parks, and each task lands on the
+    /// lowest-id running instance with a free slot.
     ///
-    /// Dispatch pulls the minimum id from `dispatchable` per
-    /// assignment. This reproduces the historical ascending full scan
-    /// exactly: during a dispatch no instance with a lower id can *gain* a
-    /// free slot while staying Running (slots are only freed by `TaskDone`
-    /// events, which cannot fire mid-dispatch; terminations remove the
-    /// instance from the set), so min-first and scan order coincide.
+    /// The scheduler is asked for a task only while it holds one and some
+    /// slot is free, so a dispatch never pops an empty queue.
     fn dispatch(&mut self) {
-        if self.memory_active {
-            self.dispatch_mem();
-            return;
-        }
-        if self.ready.is_empty() {
-            return;
-        }
-        while let Some(&i) = self.dispatchable.iter().next() {
-            let id = InstanceId(i);
-            let Some(task) = self.pop_ready() else {
-                return;
-            };
-            let slot = self
-                .slot_arena
-                .free_slot(id)
-                .expect("dispatchable instance has a free slot");
-            self.assign(task, id, slot as u32);
-        }
-    }
-
-    /// Memory-aware dispatch (only reached with an active [`MemoryProfile`]):
-    /// placement is first-fit bin-packing over *claimed* memory. Tasks that
-    /// fit no instance park in `mem_blocked` and retry — in original pop
-    /// order, ahead of the scheduler — at every subsequent dispatch.
-    fn dispatch_mem(&mut self) {
         if !self.mem_blocked.is_empty() {
             let mut blocked = std::mem::take(&mut self.mem_blocked);
             blocked.retain(|&task| !self.try_place(task));
@@ -1286,7 +1261,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             blocked.append(&mut self.mem_blocked);
             self.mem_blocked = blocked;
         }
-        while !self.dispatchable.is_empty() {
+        while !self.dispatchable.is_empty() && !self.ready.is_empty() {
             let Some(task) = self.pop_ready() else {
                 return;
             };
@@ -1299,11 +1274,18 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     /// First-fit over ascending instance ids: place `task` on the lowest-id
     /// running instance with a free slot whose free claimed memory covers
     /// the task's working demand. False ⇒ nothing fits right now.
+    ///
+    /// `dispatchable` is kept in ascending id order, so taking its first
+    /// fitting member reproduces an ascending scan over every instance:
+    /// during a dispatch no instance with a lower id can *gain* a free slot
+    /// while staying Running (slots are only freed by `TaskDone` events,
+    /// which cannot fire mid-dispatch; terminations remove the instance
+    /// from the set).
     fn try_place(&mut self, task: TaskId) -> bool {
-        let claim = self.mem_demand[task.index()];
+        let claim = self.claim_of(task);
         let mut chosen = None;
         for &i in &self.dispatchable {
-            let fam = &self.families[self.instance_family[i as usize] as usize];
+            let fam = &self.config.families[self.instance_family[i as usize] as usize];
             if fam.mem_mb - self.mem_used[i as usize] >= claim {
                 chosen = Some(InstanceId(i));
                 break;
@@ -1323,26 +1305,24 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     fn assign(&mut self, task: TaskId, instance: InstanceId, slot: u32) {
         let sub = self.sub_of(task);
         let (spec, stage) = self.task_info(task);
-        let mut t_in = self.transfer_model.sample(spec.input_bytes, &mut self.rng);
-        let mut t_out = self.transfer_model.sample(spec.output_bytes, &mut self.rng);
-        if self.chaos.transfer_factor != 1.0 {
-            // spike applied AFTER sampling: the RNG draw count is unchanged,
-            // so the rest of the run stays aligned with the un-spiked one
-            t_in = t_in.scale(self.chaos.transfer_factor);
-            t_out = t_out.scale(self.chaos.transfer_factor);
-        }
+        // a chaos spike applies AFTER sampling: the RNG draw count is
+        // unchanged, so the rest of the run stays aligned with the un-spiked one
+        let spike = self.chaos.transfer_factor;
+        let t_in = self
+            .transfer_model
+            .sample(spec.input_bytes, &mut self.rng)
+            .scale(spike);
+        let t_out = self
+            .transfer_model
+            .sample(spec.output_bytes, &mut self.rng)
+            .scale(spike);
         let mut exec = self.profiles[sub].exec_time(self.slots[sub].local_task(task));
         if self.config.exec_jitter > 0.0 {
             let j = self.config.exec_jitter;
             exec = exec.scale(1.0 + self.rng.gen_range(-j..j));
         }
         let family = self.instance_family[instance.index()] as usize;
-        let speed = self.families[family].speed;
-        if speed != 1.0 {
-            // family speed multiplier (guarded so the legacy 1.0 path takes
-            // no float round-trip and stays byte-identical)
-            exec = exec.scale(1.0 / speed);
-        }
+        exec = exec.scale(1.0 / self.config.families[family].speed);
         let occupancy = t_in + exec + t_out;
         self.slot_arena.set(instance, slot as usize, Some(task));
         self.snapshot_scratch.note_instance(instance);
@@ -1368,23 +1348,21 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 epoch: self.epochs[task.index()],
             },
         );
-        if self.memory_active {
-            // reserve the declared claim; track ground-truth peaks separately
-            self.mem_used[instance.index()] += self.mem_demand[task.index()];
-            self.mem_peak_resident[instance.index()] += self.mem_peak[task.index()];
-            // co-resident true peaks above the family's capacity OOM-kill
-            // the task whose dispatch crossed the line, midway through its
-            // compute phase (after stage-in, before it could finish)
-            if self.mem_peak_resident[instance.index()] > self.families[family].mem_mb {
-                let at = self.clock + t_in + Millis::from_ms(exec.as_ms() / 2);
-                self.queue.push(
-                    at,
-                    EventKind::TaskOom {
-                        task,
-                        epoch: self.epochs[task.index()],
-                    },
-                );
-            }
+        // reserve the declared claim; track ground-truth peaks separately
+        self.mem_used[instance.index()] += self.claim_of(task);
+        self.mem_peak_resident[instance.index()] += self.peak_of(task);
+        // co-resident true peaks above the family's capacity OOM-kill the
+        // task whose dispatch crossed the line, midway through its compute
+        // phase (after stage-in, before it could finish)
+        if self.mem_peak_resident[instance.index()] > self.config.families[family].mem_mb {
+            let at = self.clock + t_in + Millis::from_ms(exec.as_ms() / 2);
+            self.queue.push(
+                at,
+                EventKind::TaskOom {
+                    task,
+                    epoch: self.epochs[task.index()],
+                },
+            );
         }
         self.emit(TelemetryEvent::TaskDispatched {
             task: task.index() as u32,
@@ -1446,7 +1424,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.instances.push(Instance::new(id, state));
         self.snapshot_scratch.note_instance(id);
         self.slot_arena
-            .add_instance_with(self.families[family as usize].slots as usize);
+            .add_instance_with(self.config.families[family as usize].slots as usize);
         self.instance_epochs.push(0);
         self.instance_family.push(family);
         self.mem_used.push(0);
@@ -1558,8 +1536,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 {
                     self.debug_billed += units;
                 }
-                self.cost_milli +=
-                    units * self.families[self.instance_family[i] as usize].unit_price_milli();
+                self.cost_milli += units
+                    * self.config.families[self.instance_family[i] as usize].unit_price_milli();
                 self.emit(TelemetryEvent::InstanceTerminated {
                     instance: i as u32,
                     units,
@@ -1696,33 +1674,31 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             }
         }
         // memory ledgers vs full recounts from the slot arena
-        if self.memory_active {
-            for inst in &self.instances {
-                let (mut used, mut peak) = (0i64, 0i64);
-                for t in self.slot_arena.tasks_of(inst.id) {
-                    used += self.mem_demand[t.index()];
-                    peak += self.mem_peak[t.index()];
-                }
-                debug_assert_eq!(
-                    used,
-                    self.mem_used[inst.id.index()],
-                    "claimed-memory ledger drift on {}",
-                    inst.id
-                );
-                debug_assert_eq!(
-                    peak,
-                    self.mem_peak_resident[inst.id.index()],
-                    "peak-memory ledger drift on {}",
-                    inst.id
-                );
+        for inst in &self.instances {
+            let (mut used, mut peak) = (0i64, 0i64);
+            for t in self.slot_arena.tasks_of(inst.id) {
+                used += self.claim_of(t);
+                peak += self.peak_of(t);
             }
-            for &t in &self.mem_blocked {
-                debug_assert_eq!(
-                    self.task_phase[t.index()],
-                    TaskPhase::Ready,
-                    "memory-parked task is not Ready"
-                );
-            }
+            debug_assert_eq!(
+                used,
+                self.mem_used[inst.id.index()],
+                "claimed-memory ledger drift on {}",
+                inst.id
+            );
+            debug_assert_eq!(
+                peak,
+                self.mem_peak_resident[inst.id.index()],
+                "peak-memory ledger drift on {}",
+                inst.id
+            );
+        }
+        for &t in &self.mem_blocked {
+            debug_assert_eq!(
+                self.task_phase[t.index()],
+                TaskPhase::Ready,
+                "memory-parked task is not Ready"
+            );
         }
         // per-instance bills sum to the total billed so far (old derivation)
         let billed: u64 = self.instance_bills.iter().map(|b| b.units).sum();

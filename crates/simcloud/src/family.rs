@@ -11,17 +11,18 @@
 //! resource an online controller should steer on).
 //!
 //! An empty [`crate::CloudConfig::families`] table is the legacy
-//! configuration: one implicit on-demand family with
-//! `slots_per_instance` slots, speed 1.0 and the reference price of
-//! [`FamilySpec::LEGACY_PRICE_MILLI`] per charging unit. That path is
-//! byte-identical to the pre-family engine — the differential spine of the
-//! heterogeneous-cloud feature.
+//! configuration: it resolves to one on-demand row with
+//! `slots_per_instance` slots, speed 1.0, unlimited memory and the
+//! reference price of [`FamilySpec::LEGACY_PRICE_MILLI`] per charging
+//! unit. The engine runs that row through the same code as any other
+//! table, and `tests/golden.rs` checks that spelling it out explicitly
+//! moves no golden digest.
 
 use serde::{Deserialize, Serialize};
 use wire_dag::{Millis, TaskId};
 
-/// Index into [`crate::CloudConfig::families`] (0 when the table is empty —
-/// the implicit legacy family).
+/// Index into the resolved family table (0 is the default family, and the
+/// only one when [`crate::CloudConfig::families`] is empty).
 pub type FamilyId = u32;
 
 /// Spot tier of a family: a discounted price paid per started charging
@@ -52,13 +53,13 @@ pub struct FamilySpec {
     pub slots: u32,
     /// Execution-speed multiplier: ground-truth task times are divided by
     /// this factor on instances of the family. `1.0` replays the profile
-    /// exactly (and takes no float path at all, preserving digests).
+    /// exactly.
     pub speed: f64,
     /// On-demand price per started charging unit, in milli-dollars.
     pub price_milli: u64,
     /// Memory capacity per instance, in MB. Placement requires the sum of
     /// resident task demands to stay within it. `i64::MAX` is "effectively
-    /// unlimited" (the legacy, memory-blind configuration).
+    /// unlimited" (the legacy row's capacity).
     pub mem_mb: i64,
     /// `Some` makes every instance of this family a spot instance: billed
     /// at [`SpotSpec::price_milli`] and subject to provider eviction.

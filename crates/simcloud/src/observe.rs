@@ -91,7 +91,7 @@ pub struct CompletionView {
     pub transfer_time: Millis,
     /// Observed peak resident memory (MB), as a real framework reports
     /// maxrss after task exit. Zero when the session declares no memory
-    /// profile — the memory-blind legacy cloud.
+    /// profile.
     #[serde(default)]
     pub peak_mb: i64,
 }
@@ -167,6 +167,9 @@ pub struct MonitorSnapshot<'a> {
     /// indexed by the session-global ids these slots define. Workflows
     /// submitted for later arrival are invisible until their arrival time.
     pub workflows: &'a [WorkflowSlot<'a>],
+    /// The run's cloud. In a snapshot the engine builds, `families` is the
+    /// resolved table and never empty (an empty configured table becomes
+    /// the single legacy row); a hand-built snapshot may carry any config.
     pub config: &'a CloudConfig,
     /// Watermark: every task with index `< done_prefix` is
     /// [`TaskView::Done`]. Always sound to ignore (0 is valid for any
@@ -193,8 +196,8 @@ pub struct MonitorSnapshot<'a> {
     /// previous tick — the predictor's `t̃_data` feed.
     pub interval_transfers: &'a [Millis],
     /// Tasks the kernel OOM-killed since the previous tick (a framework
-    /// observes these as exit-137 restarts). Always zero on the memory-blind
-    /// legacy cloud.
+    /// observes these as exit-137 restarts). Always zero when the session
+    /// declares no memory profile.
     pub interval_ooms: u32,
     /// Ready tasks in the order the framework would dispatch them, lent
     /// lazily: a policy that never walks it costs the engine nothing.
@@ -316,15 +319,6 @@ impl<'a> MonitorSnapshot<'a> {
                 )
             })
             .count() as u32
-    }
-
-    /// Number of tasks not yet completed. (Scans only past `done_prefix`;
-    /// everything below it is done by construction.)
-    pub fn incomplete_tasks(&self) -> usize {
-        self.tasks[self.done_prefix..]
-            .iter()
-            .filter(|t| !t.is_done())
-            .count()
     }
 
     /// Number of active tasks (ready or running) — the pure-reactive signal.

@@ -167,9 +167,9 @@ impl<'a, P: ScalingPolicy, R: Recorder> Session<'a, P, R> {
 
     /// Attach a per-task [`MemoryProfile`] over the session-global task
     /// index space (tasks numbered across submissions in submission order).
-    /// Placement then becomes memory-aware bin-packing with OOM-restart
-    /// semantics; an all-zero profile (or none) leaves the run byte-identical
-    /// to the memory-blind engine.
+    /// Placement packs the declared demands first-fit, with OOM-restart
+    /// semantics. Without a profile every task claims and peaks at 0 MB, so
+    /// an all-zero profile runs exactly like none.
     pub fn memory(mut self, profile: MemoryProfile) -> Self {
         self.memory = Some(profile);
         self

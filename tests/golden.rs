@@ -46,17 +46,35 @@ fn wire_run_digest(workload: WorkloadId, seed: u64) -> u64 {
 }
 
 fn wire_run_digest_with(workload: WorkloadId, seed: u64, cfg: CloudConfig) -> (u64, RunResult) {
+    wire_run_digest_memory(workload, seed, cfg, false)
+}
+
+/// [`wire_run_digest_with`], optionally with an attached memory profile in
+/// which every task claims and peaks at 0 MB.
+fn wire_run_digest_memory(
+    workload: WorkloadId,
+    seed: u64,
+    cfg: CloudConfig,
+    zero_memory: bool,
+) -> (u64, RunResult) {
     let (wf, prof) = workload.generate(seed);
     let handle = TelemetryHandle::new();
     // The invariant checker rides every golden run: recorders are
     // observational, so teeing it in cannot (and must not) move the digest.
-    let checker =
+    let mut checker =
         InvariantChecker::new(&cfg).expect_workflow(wf.num_tasks() as u32, wf.num_stages() as u32);
     let policy = WirePolicy::default().with_telemetry(handle.clone());
-    let result = Session::new(cfg)
+    let mut session = Session::new(cfg)
         .transfer(TransferModel::default())
         .policy(policy)
-        .seed(seed)
+        .seed(seed);
+    if zero_memory {
+        let zeros = vec![0; wf.num_tasks()];
+        let profile = MemoryProfile::new(zeros.clone(), zeros).unwrap();
+        checker = checker.expect_memory(&profile);
+        session = session.memory(profile);
+    }
+    let result = session
         .recording(Tee(handle.clone(), checker.clone()))
         .submit(&wf, &prof)
         .run()
@@ -109,6 +127,28 @@ fn explicit_legacy_family_row_is_byte_identical_to_the_empty_table() {
             w.name()
         );
         assert_eq!(result.evictions, 0);
+        assert_eq!(result.oom_restarts, 0);
+    }
+}
+
+#[test]
+fn an_all_zero_memory_profile_leaves_golden_digests_byte_identical() {
+    // Without a profile every task claims and peaks at 0 MB, so attaching
+    // those zeros explicitly is the same input to the one dispatch path:
+    // the pinned digests cannot move by a byte.
+    for &(w, seed, expected) in GOLDEN_DIGESTS {
+        let cfg = cloud_config_for(
+            Setting::Wire,
+            Millis::from_mins(15),
+            w.spec().total_input_bytes,
+        );
+        let (digest, result) = wire_run_digest_memory(w, seed, cfg, true);
+        assert_eq!(
+            digest,
+            expected,
+            "{} / seed={seed}: an all-zero memory profile changed the run (digest {digest:#x})",
+            w.name()
+        );
         assert_eq!(result.oom_restarts, 0);
     }
 }
