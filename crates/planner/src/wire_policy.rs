@@ -223,10 +223,11 @@ impl WirePolicy {
         let Some(floor) = self.steering.spot_on_demand_floor else {
             return;
         };
-        if plan.launch == 0 {
+        // fewer than two rows hold no spot family cheaper than family 0
+        let families = &snapshot.config.families;
+        if plan.launch == 0 || families.len() < 2 {
             return;
         }
-        let families = snapshot.config.resolved_families();
         let on_demand_price = families[0].unit_price_milli();
         let predicted = if self.steering.memory_blind_families {
             0 // ablation: chase price, ignore the model

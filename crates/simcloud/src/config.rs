@@ -248,6 +248,22 @@ impl CloudConfig {
                 }
             }
         }
+        if let Some(b) = self.budget {
+            // launches go to family 0; a ceiling below one of its units
+            // affords none, so an empty initial pool never grows and every
+            // run ends in TimeLimit
+            let price0 = self
+                .families
+                .first()
+                .map_or(FamilySpec::LEGACY_PRICE_MILLI, FamilySpec::unit_price_milli);
+            if self.initial_instances == 0 && b.ceiling_milli < price0 {
+                return Err(format!(
+                    "budget ceiling_milli {} is below one unit of family 0 ({price0} milli) \
+                     and there is no initial instance: no launch is ever affordable",
+                    b.ceiling_milli
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -360,6 +376,25 @@ mod tests {
         // a zero ceiling can never launch anything — reject it up front
         let c = CloudConfig::default().with_budget(0);
         assert!(c.validate().unwrap_err().contains("ceiling"));
+
+        // nor can one below a unit of family 0 (1000 milli on the legacy
+        // row), unless an initial instance runs without a launch
+        let empty = CloudConfig {
+            initial_instances: 0,
+            ..CloudConfig::default()
+        };
+        let err = empty.clone().with_budget(999).validate().unwrap_err();
+        assert!(err.contains("999") && err.contains("1000"), "{err}");
+        assert!(empty.clone().with_budget(1000).validate().is_ok());
+        assert!(CloudConfig::default().with_budget(999).validate().is_ok());
+        // the price is family 0's, spot discount included
+        let lag = CloudConfig::default().launch_lag;
+        let spot = empty.with_families(vec![
+            FamilySpec::new("s", 4, 2000).spot(lag, 300),
+            FamilySpec::new("d", 4, 100),
+        ]);
+        assert!(spot.clone().with_budget(299).validate().is_err());
+        assert!(spot.with_budget(300).validate().is_ok());
 
         // the default budget is the explicit infinite one
         assert_eq!(BudgetConfig::default(), BudgetConfig::unlimited());

@@ -165,11 +165,12 @@ pub struct Engine<'a, P: ScalingPolicy, R: Recorder = NoopRecorder, S: Scheduler
     mem_blocked: Vec<TaskId>,
     /// Running instances with at least one free slot, ascending — the
     /// dispatch loop pulls the minimum instead of scanning every instance
-    /// ever launched.
+    /// ever launched. Kept by [`Self::touch_instance`] alone.
     dispatchable: std::collections::BTreeSet<u32>,
-    /// Incremental lifecycle counters (ISSUE 7 satellite): replace the
-    /// per-call `active_instances`/`usable_instances` scans. Validated
-    /// against a full recount in the periodic debug check.
+    /// Incremental lifecycle counters, written only by
+    /// [`Self::set_instance_state`]: replace the per-call
+    /// `active_instances`/`usable_instances` scans. Validated against a
+    /// full recount in the periodic debug check.
     count_launching: u32,
     count_running: u32,
     count_draining: u32,
@@ -448,8 +449,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 0,
             );
             self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
-            self.schedule_failure(id);
-            self.schedule_eviction(id);
+            self.arm_hazards(id);
         }
         self.note_pool_change();
 
@@ -506,20 +506,17 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 EventKind::InstanceReady { instance } => self.on_instance_ready(instance),
                 EventKind::InstanceTerminate { instance, epoch } => {
                     if self.instance_epochs[instance.index()] == epoch {
-                        self.terminate_instance(instance);
+                        self.terminate_instance(instance, false);
                         self.dispatch();
                     }
                 }
-                EventKind::InstanceFail { instance, epoch } => {
+                EventKind::InstanceFail { instance, epoch }
+                | EventKind::SpotEvict { instance, epoch } => {
                     // stale if the instance was drained/terminated since
+                    let evicted = matches!(kind, EventKind::SpotEvict { .. });
                     if self.instance_epochs[instance.index()] == epoch
-                        && self.instances[instance.index()].is_running()
+                        && self.crash(instance, evicted)
                     {
-                        self.failures += 1;
-                        self.emit(TelemetryEvent::InstanceFailed {
-                            instance: instance.0,
-                        });
-                        self.terminate_instance(instance);
                         self.dispatch();
                     }
                 }
@@ -536,20 +533,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                 }
                 EventKind::MapeTick => self.on_mape_tick()?,
                 EventKind::ChaosFault { fault } => self.apply_chaos_fault(fault),
-                EventKind::SpotEvict { instance, epoch } => {
-                    // stale if the instance was drained/terminated since
-                    if self.instance_epochs[instance.index()] == epoch
-                        && self.instances[instance.index()].is_running()
-                    {
-                        self.evictions += 1;
-                        self.emit(TelemetryEvent::SpotEvicted {
-                            instance: instance.0,
-                        });
-                        // the provider forgives the unit in progress
-                        self.terminate_instance_billed(instance, true);
-                        self.dispatch();
-                    }
-                }
                 EventKind::TaskOom { task, epoch } => {
                     // stale if the task finished, or was resubmitted by an
                     // instance death, before its peak hit
@@ -614,64 +597,46 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 
     fn on_instance_ready(&mut self, id: InstanceId) {
-        let inst = &mut self.instances[id.index()];
-        debug_assert!(matches!(inst.state, InstanceState::Launching { .. }));
-        inst.state = InstanceState::Running {
-            charge_start: self.clock,
-        };
-        self.count_launching -= 1;
-        self.count_running += 1;
-        self.dispatchable.insert(id.0);
-        self.snapshot_scratch.note_instance(id);
+        debug_assert!(matches!(
+            self.instances[id.index()].state,
+            InstanceState::Launching { .. }
+        ));
+        self.set_instance_state(
+            id,
+            InstanceState::Running {
+                charge_start: self.clock,
+            },
+        );
         self.emit(TelemetryEvent::InstanceReady { instance: id.0 });
-        self.schedule_failure(id);
-        self.schedule_eviction(id);
+        self.arm_hazards(id);
         self.note_pool_change();
         self.dispatch();
     }
 
-    /// Failure injection: draw an exponential lifetime for a newly running
-    /// instance. (Exponential via inverse CDF, so a single `f64` from the
-    /// seeded RNG keeps the run deterministic.) Draining instances are not
-    /// struck: the epoch bump at drain time cancels the pending failure, and
-    /// the instance leaves at its charge boundary anyway — the billing and
-    /// resubmission outcome is the same either way.
-    fn schedule_failure(&mut self, id: InstanceId) {
-        let Some(mtbf) = self.config.mean_time_between_failures else {
-            return;
-        };
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let lifetime = mtbf.scale(-u.ln());
-        let epoch = self.instance_epochs[id.index()];
-        self.queue.push(
-            self.clock + lifetime,
-            EventKind::InstanceFail {
-                instance: id,
-                epoch,
-            },
-        );
-    }
-
-    /// Spot reclamation: draw an exponential time-to-eviction for a newly
-    /// running spot instance. On-demand families never reach the RNG draw,
-    /// so their runs stay byte-identical to the pre-spot engine — the same
-    /// `Option` gate as [`Self::schedule_failure`].
-    fn schedule_eviction(&mut self, id: InstanceId) {
+    /// Arm the hazard timers of a newly running instance, each an
+    /// exponential lifetime drawn from the seeded RNG: an MTBF failure when
+    /// failures are configured, then a provider eviction when its family is
+    /// spot. A hazard that does not apply draws nothing, so runs without it
+    /// keep their RNG stream. Draining instances are not struck: the epoch
+    /// bump at drain time cancels both timers, and the instance leaves at
+    /// its charge boundary anyway.
+    fn arm_hazards(&mut self, id: InstanceId) {
+        let (instance, epoch) = (id, self.instance_epochs[id.index()]);
         let family = &self.config.families[self.instance_family[id.index()] as usize];
-        let Some(spot) = &family.spot else {
-            return;
-        };
-        let mtbe = spot.mean_time_between_evictions;
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let lifetime = mtbe.scale(-u.ln());
-        let epoch = self.instance_epochs[id.index()];
-        self.queue.push(
-            self.clock + lifetime,
-            EventKind::SpotEvict {
-                instance: id,
-                epoch,
-            },
-        );
+        let hazards = [
+            self.config
+                .mean_time_between_failures
+                .map(|mtbf| (mtbf, EventKind::InstanceFail { instance, epoch })),
+            family.spot.as_ref().map(|s| {
+                let mtbe = s.mean_time_between_evictions;
+                (mtbe, EventKind::SpotEvict { instance, epoch })
+            }),
+        ];
+        for (mean, kind) in hazards.into_iter().flatten() {
+            // inverse CDF: one f64 per timer keeps the run deterministic
+            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            self.queue.push(self.clock + mean.scale(-u.ln()), kind);
+        }
     }
 
     // ---- chaos -----------------------------------------------------------
@@ -684,7 +649,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         self.emit(TelemetryEvent::ChaosFault { fault: idx });
         match fault.action {
             FaultAction::KillInstance(id) => {
-                self.chaos_kill(id);
+                self.crash(id, false);
                 self.dispatch();
             }
             FaultAction::KillAllRunning => {
@@ -696,7 +661,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
                     .map(|i| i.id)
                     .collect();
                 for id in victims {
-                    self.chaos_kill(id);
+                    self.crash(id, false);
                 }
                 self.dispatch();
             }
@@ -722,20 +687,29 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         }
     }
 
-    /// Crash one instance exactly like an MTBF failure: counted, recorded,
-    /// tasks resubmitted, started units billed. No-op unless `Running` —
-    /// scripted kills racing a drain or a never-launched id lose the race,
-    /// mirroring the stale-epoch rule for `InstanceFail` events.
-    fn chaos_kill(&mut self, id: InstanceId) {
-        let running = self
+    /// An instance dies under its tasks: an MTBF failure, a scripted chaos
+    /// kill, or (`evicted`) a provider spot eviction. It is counted and
+    /// recorded, its tasks are resubmitted and its started units billed;
+    /// an eviction forgives the unit in progress. A no-op returning false
+    /// unless the instance is `Running`: a kill racing a drain or naming a
+    /// never-launched id loses the race, like a stale-epoch timer.
+    fn crash(&mut self, id: InstanceId, evicted: bool) -> bool {
+        if !self
             .instances
             .get(id.index())
-            .is_some_and(|inst| inst.is_running());
-        if running {
+            .is_some_and(Instance::is_running)
+        {
+            return false;
+        }
+        if evicted {
+            self.evictions += 1;
+            self.emit(TelemetryEvent::SpotEvicted { instance: id.0 });
+        } else {
             self.failures += 1;
             self.emit(TelemetryEvent::InstanceFailed { instance: id.0 });
-            self.terminate_instance(id);
         }
+        self.terminate_instance(id, evicted);
+        true
     }
 
     fn on_task_done(&mut self, task: TaskId) {
@@ -752,15 +726,7 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             transfer,
             ..
         } = self.task_run[task.index()];
-        self.slot_arena.set(instance, slot as usize, None);
-        self.snapshot_scratch.note_instance(instance);
-        let inst = &mut self.instances[instance.index()];
-        inst.occupied -= 1;
-        if inst.is_running() {
-            self.dispatchable.insert(instance.0);
-        }
-        self.mem_used[instance.index()] -= self.claim_of(task);
-        self.mem_peak_resident[instance.index()] -= self.peak_of(task);
+        self.release_slot(task);
         let occupancy = self.clock - assigned_at;
         self.busy_slot_time += occupancy;
         self.set_phase(task, TaskPhase::Done);
@@ -849,83 +815,95 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 
     /// A task's true peak blew past its instance family's memory: the kernel
-    /// kills it. The slot and memory are freed, the work so far is sunk, and
-    /// the task resubmits through the scheduler with its working claim
-    /// raised to the observed peak (retry-with-more-memory) — so the same
-    /// placement cannot OOM it twice.
+    /// kills it and it is requeued like any killed attempt, with its working
+    /// claim raised to the observed peak (retry-with-more-memory) — so the
+    /// same placement cannot OOM it twice.
     fn on_task_oom(&mut self, task: TaskId) {
-        let RunInfo {
-            instance,
-            slot,
-            assigned_at,
-            ..
-        } = self.task_run[task.index()];
-        self.slot_arena.set(instance, slot as usize, None);
-        self.snapshot_scratch.note_instance(instance);
-        let inst = &mut self.instances[instance.index()];
-        inst.occupied -= 1;
-        if inst.is_running() {
-            self.dispatchable.insert(instance.0);
-        }
-        self.mem_used[instance.index()] -= self.claim_of(task);
-        self.mem_peak_resident[instance.index()] -= self.peak_of(task);
-        let sunk = self.clock - assigned_at;
-        self.wasted_slot_time += sunk;
-        self.epochs[task.index()] += 1; // cancels the in-flight TaskDone
-        self.restarts[task.index()] += 1;
-        self.total_restarts += 1;
+        let instance = self.task_run[task.index()].instance;
         self.oom_restarts += 1;
         self.interval_ooms += 1;
-        self.set_phase(task, TaskPhase::Ready);
-        self.ready_at[task.index()] = self.clock;
-        // next placement must budget for what the task actually used (an
-        // OOM needs a nonzero peak, so a memory profile is attached)
+        // an OOM needs a nonzero peak, so a memory profile is attached
         let peak = self.peak_of(task);
         let claim = self.claim_of(task).max(peak);
-        self.mem_demand[task.index()] = claim;
-        self.push_resubmit(task);
         self.emit(TelemetryEvent::TaskOom {
             task: task.index() as u32,
             instance: instance.0,
             demand_mb: claim,
             peak_mb: peak,
         });
+        // frees the slot at the old claim, so raise it only afterwards
+        self.requeue(task);
+        self.mem_demand[task.index()] = claim;
+        self.dispatch();
+    }
+
+    /// Kill a running task's attempt and resubmit it: its slot and memory
+    /// are freed, its slot time so far is sunk, and the epoch bump cancels
+    /// its in-flight `TaskDone` (and `TaskOom`). The one requeue path, for
+    /// OOM kills and for every task an instance takes down with it.
+    fn requeue(&mut self, task: TaskId) {
+        debug_assert_eq!(
+            self.task_phase[task.index()],
+            TaskPhase::Running,
+            "requeue of a non-running task"
+        );
+        self.release_slot(task);
+        let RunInfo {
+            instance,
+            slot,
+            assigned_at,
+            ..
+        } = self.task_run[task.index()];
+        let sunk = self.clock - assigned_at;
+        self.wasted_slot_time += sunk;
+        self.epochs[task.index()] += 1;
+        self.restarts[task.index()] += 1;
+        self.total_restarts += 1;
+        self.set_phase(task, TaskPhase::Ready);
+        self.ready_at[task.index()] = self.clock;
+        #[cfg(debug_assertions)]
+        {
+            self.debug_pop_order = None;
+        }
+        self.ready.push_resubmit(task);
         self.emit(TelemetryEvent::TaskResubmitted {
             task: task.index() as u32,
             instance: instance.0,
             slot,
             sunk,
         });
-        self.dispatch();
     }
 
-    /// Committed spend in milli-dollars: everything already billed plus the
-    /// units every live instance has started (Launching owes its first unit,
-    /// Running owes ceil-billed units through `clock`, Draining owes through
-    /// its drain boundary), each at its family's price. This is the ledger
+    /// Free the slot and the memory a running task holds on its instance.
+    fn release_slot(&mut self, task: TaskId) {
+        let RunInfo { instance, slot, .. } = self.task_run[task.index()];
+        self.slot_arena.set(instance, slot as usize, None);
+        self.instances[instance.index()].occupied -= 1;
+        self.mem_used[instance.index()] -= self.claim_of(task);
+        self.mem_peak_resident[instance.index()] -= self.peak_of(task);
+        self.touch_instance(instance);
+    }
+
+    /// Committed spend in milli-dollars: everything already billed plus
+    /// what every live instance would be billed if released now
+    /// ([`owed_bill`]), each at its family's price. This is the ledger
     /// budget-aware policies throttle against; it is reconstructible from
     /// telemetry alone, which is what lets the chaos checker cross-check
     /// every verdict. Only called when a budget is configured — the
     /// unconstrained hot path never scans.
     fn committed_spend_milli(&self) -> u64 {
         let unit = self.config.charging_unit;
-        let mut spent = self.cost_milli;
-        for (i, inst) in self.instances.iter().enumerate() {
-            let units = match inst.state {
-                InstanceState::Launching { .. } => 1,
-                InstanceState::Running { charge_start } => {
-                    Instance::units_billed(charge_start, self.clock, unit)
-                }
-                InstanceState::Draining {
-                    charge_start,
-                    terminate_at,
-                } => Instance::units_billed(charge_start, terminate_at, unit),
-                InstanceState::Terminated { .. } => continue,
-            };
-            spent +=
-                units * self.config.families[self.instance_family[i] as usize].unit_price_milli();
-        }
-        spent
+        let owed = self
+            .instances
+            .iter()
+            .filter_map(|inst| owed_bill(inst, self.clock, unit, false))
+            .map(|bill| bill.units * self.unit_price_milli(bill.instance));
+        self.cost_milli + owed.sum::<u64>()
+    }
+
+    /// Unit price of instance `id`'s family, in milli-dollars.
+    fn unit_price_milli(&self, id: InstanceId) -> u64 {
+        self.config.families[self.instance_family[id.index()] as usize].unit_price_milli()
     }
 
     fn on_mape_tick(&mut self) -> Result<(), RunError> {
@@ -1042,26 +1020,24 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             }
             match when {
                 TerminateWhen::Now => {
-                    self.terminate_instance(id);
+                    self.terminate_instance(id, false);
                 }
                 TerminateWhen::AtChargeBoundary => {
                     let boundary = inst.next_charge_boundary(self.clock, self.config.charging_unit);
                     if boundary == self.clock {
-                        self.terminate_instance(id);
+                        self.terminate_instance(id, false);
                     } else {
                         let charge_start = match inst.state {
                             InstanceState::Running { charge_start } => charge_start,
                             _ => unreachable!(),
                         };
-                        self.instances[id.index()].state = InstanceState::Draining {
-                            charge_start,
-                            terminate_at: boundary,
-                        };
-                        self.count_running -= 1;
-                        self.count_draining += 1;
-                        self.dispatchable.remove(&id.0);
-                        self.snapshot_scratch.note_instance(id);
-                        self.instance_epochs[id.index()] += 1;
+                        self.set_instance_state(
+                            id,
+                            InstanceState::Draining {
+                                charge_start,
+                                terminate_at: boundary,
+                            },
+                        );
                         let epoch = self.instance_epochs[id.index()];
                         self.queue.push(
                             boundary,
@@ -1108,93 +1084,93 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         Ok(())
     }
 
-    /// Release an instance now: resubmit its tasks, bill its units.
-    fn terminate_instance(&mut self, id: InstanceId) {
-        self.terminate_instance_billed(id, false);
-    }
-
-    /// [`Self::terminate_instance`] with the billing mode explicit:
-    /// `forgive_partial` drops the charging unit in progress (floor instead
-    /// of ceiling) — the spot-market grace rule when the *provider* reclaims
-    /// the instance mid-unit.
-    fn terminate_instance_billed(&mut self, id: InstanceId, forgive_partial: bool) {
-        let inst = &mut self.instances[id.index()];
-        let charge_start = match inst.state {
-            InstanceState::Running { charge_start } => {
-                self.count_running -= 1;
-                charge_start
-            }
-            InstanceState::Draining { charge_start, .. } => {
-                self.count_draining -= 1;
-                charge_start
-            }
-            _ => unreachable!("terminating a non-active instance"),
-        };
+    /// Release an instance now and resubmit the tasks it held.
+    /// `forgive_partial` is the spot-market grace rule: the provider
+    /// reclaimed the instance mid-unit, so that unit is not billed.
+    fn terminate_instance(&mut self, id: InstanceId, forgive_partial: bool) {
+        self.release(id, forgive_partial);
         let mut tasks = std::mem::take(&mut self.resubmit_scratch);
-        tasks.clear();
         tasks.extend(self.slot_arena.tasks_of(id));
-        self.slot_arena.clear_instance(id);
-        inst.occupied = 0;
-        inst.state = InstanceState::Terminated {
-            charge_start,
-            at: self.clock,
-        };
-        self.dispatchable.remove(&id.0);
-        self.snapshot_scratch.note_instance(id);
-        self.instance_epochs[id.index()] += 1;
-        let units = if forgive_partial && !self.config.mutation_bill_eviction_grace {
-            Instance::units_billed_forgiven(charge_start, self.clock, self.config.charging_unit)
-        } else {
-            Instance::units_billed(charge_start, self.clock, self.config.charging_unit)
-        };
-        self.units_total += units;
-        self.cost_milli += units
-            * self.config.families[self.instance_family[id.index()] as usize].unit_price_milli();
-        #[cfg(debug_assertions)]
-        {
-            self.debug_billed += units;
-        }
-        self.instance_time += self.clock - charge_start;
-        self.instance_bills.push(InstanceBill {
-            instance: id,
-            charged_from: Some(charge_start),
-            released_at: self.clock,
-            units,
-        });
-        self.emit(TelemetryEvent::InstanceTerminated {
-            instance: id.0,
-            units,
-        });
-
-        // the whole residency died with the instance
-        self.mem_used[id.index()] = 0;
-        self.mem_peak_resident[id.index()] = 0;
         for task in tasks.drain(..) {
-            debug_assert_eq!(
-                self.task_phase[task.index()],
-                TaskPhase::Running,
-                "slot held a non-running task"
-            );
-            let RunInfo {
-                assigned_at, slot, ..
-            } = self.task_run[task.index()];
-            let sunk = self.clock - assigned_at;
-            self.wasted_slot_time += sunk;
-            self.epochs[task.index()] += 1; // cancels the in-flight TaskDone
-            self.restarts[task.index()] += 1;
-            self.total_restarts += 1;
-            self.set_phase(task, TaskPhase::Ready);
-            self.ready_at[task.index()] = self.clock;
-            self.push_resubmit(task);
-            self.emit(TelemetryEvent::TaskResubmitted {
-                task: task.index() as u32,
-                instance: id.0,
-                slot,
-                sunk,
-            });
+            self.requeue(task);
         }
         self.resubmit_scratch = tasks;
         self.note_pool_change();
+    }
+
+    /// The one place an instance is billed: it is released now for what
+    /// [`owed_bill`] says it owes, the bill joins the run's totals and its
+    /// termination is recorded. The tasks it holds are the caller's.
+    fn release(&mut self, id: InstanceId, forgive_partial: bool) {
+        let forgive = forgive_partial && !self.config.mutation_bill_eviction_grace;
+        let unit = self.config.charging_unit;
+        let bill = owed_bill(&self.instances[id.index()], self.clock, unit, forgive)
+            .expect("releasing a terminated instance");
+        self.units_total += bill.units;
+        self.cost_milli += bill.units * self.unit_price_milli(id);
+        #[cfg(debug_assertions)]
+        {
+            self.debug_billed += bill.units;
+        }
+        if let Some(from) = bill.charged_from {
+            self.instance_time += bill.released_at - from;
+        }
+        self.instance_bills.push(bill);
+        self.set_instance_state(
+            id,
+            InstanceState::Terminated {
+                charge_start: bill.charged_from.unwrap_or(bill.released_at),
+                at: bill.released_at,
+            },
+        );
+        self.emit(TelemetryEvent::InstanceTerminated {
+            instance: id.0,
+            units: bill.units,
+        });
+    }
+
+    /// The one writer of [`Instance::state`], births included (`id` one
+    /// past the last instance). Keeps the lifecycle counters, the
+    /// `dispatchable` set and the snapshot row in step, and bumps the
+    /// instance's epoch, which cancels every timer armed in the old state.
+    fn set_instance_state(&mut self, id: InstanceId, state: InstanceState) {
+        let old = match self.instances.get_mut(id.index()) {
+            Some(inst) => Some(std::mem::replace(&mut inst.state, state)),
+            None => {
+                self.instances.push(Instance::new(id, state));
+                None
+            }
+        };
+        match old {
+            Some(InstanceState::Launching { .. }) => self.count_launching -= 1,
+            Some(InstanceState::Running { .. }) => self.count_running -= 1,
+            Some(InstanceState::Draining { .. }) => self.count_draining -= 1,
+            Some(InstanceState::Terminated { .. }) => {
+                unreachable!("a terminated instance changed state")
+            }
+            None => {}
+        }
+        match state {
+            InstanceState::Launching { .. } => self.count_launching += 1,
+            InstanceState::Running { .. } => self.count_running += 1,
+            InstanceState::Draining { .. } => self.count_draining += 1,
+            InstanceState::Terminated { .. } => {}
+        }
+        self.instance_epochs[id.index()] += 1;
+        self.touch_instance(id);
+    }
+
+    /// Instance `id` changed what its snapshot row shows (lifecycle state or
+    /// slot contents): mark the row for re-rendering, and keep `id` in
+    /// `dispatchable` exactly while it runs with a free slot.
+    fn touch_instance(&mut self, id: InstanceId) {
+        self.snapshot_scratch.note_instance(id);
+        let inst = &self.instances[id.index()];
+        if inst.is_running() && inst.occupied < self.slot_arena.width_of(id) {
+            self.dispatchable.insert(id.0);
+        } else {
+            self.dispatchable.remove(&id.0);
+        }
     }
 
     // ---- scheduling ------------------------------------------------------
@@ -1217,14 +1193,6 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
             self.debug_pop_order = None;
         }
         self.ready.push_ready(t, stage);
-    }
-
-    fn push_resubmit(&mut self, t: TaskId) {
-        #[cfg(debug_assertions)]
-        {
-            self.debug_pop_order = None;
-        }
-        self.ready.push_resubmit(t);
     }
 
     /// Next task from the scheduler; in debug builds checked against the
@@ -1325,12 +1293,8 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
         exec = exec.scale(1.0 / self.config.families[family].speed);
         let occupancy = t_in + exec + t_out;
         self.slot_arena.set(instance, slot as usize, Some(task));
-        self.snapshot_scratch.note_instance(instance);
-        let inst = &mut self.instances[instance.index()];
-        inst.occupied += 1;
-        if inst.occupied >= self.slot_arena.width_of(instance) {
-            self.dispatchable.remove(&instance.0);
-        }
+        self.instances[instance.index()].occupied += 1;
+        self.touch_instance(instance);
         self.task_run[task.index()] = RunInfo {
             instance,
             slot,
@@ -1413,22 +1377,13 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
 
     fn new_instance(&mut self, state: InstanceState, family: FamilyId) -> InstanceId {
         let id = InstanceId(self.instances.len() as u32);
-        match state {
-            InstanceState::Running { .. } => {
-                self.count_running += 1;
-                self.dispatchable.insert(id.0);
-            }
-            InstanceState::Launching { .. } => self.count_launching += 1,
-            _ => unreachable!("instances are born Launching or Running"),
-        }
-        self.instances.push(Instance::new(id, state));
-        self.snapshot_scratch.note_instance(id);
         self.slot_arena
             .add_instance_with(self.config.families[family as usize].slots as usize);
         self.instance_epochs.push(0);
         self.instance_family.push(family);
         self.mem_used.push(0);
         self.mem_peak_resident.push(0);
+        self.set_instance_state(id, state);
         if self.fam_multi {
             self.emit(TelemetryEvent::InstanceFamilyAssigned {
                 instance: id.0,
@@ -1466,88 +1421,10 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     fn finish(&mut self) {
         self.emit(TelemetryEvent::WorkflowDone);
         for i in 0..self.instances.len() {
-            let inst = &mut self.instances[i];
-            let mut billed = None;
-            match inst.state {
-                InstanceState::Running { charge_start } => {
-                    let units =
-                        Instance::units_billed(charge_start, self.clock, self.config.charging_unit);
-                    self.units_total += units;
-                    self.count_running -= 1;
-                    self.instance_time += self.clock - charge_start;
-                    self.instance_bills.push(InstanceBill {
-                        instance: inst.id,
-                        charged_from: Some(charge_start),
-                        released_at: self.clock,
-                        units,
-                    });
-                    inst.state = InstanceState::Terminated {
-                        charge_start,
-                        at: self.clock,
-                    };
-                    billed = Some(units);
-                }
-                InstanceState::Draining {
-                    charge_start,
-                    terminate_at,
-                } => {
-                    // a drain committed to release at its charge boundary; the
-                    // serial teardown epilogue must not start it a fresh unit
-                    let end = self.clock.min(terminate_at);
-                    let units =
-                        Instance::units_billed(charge_start, end, self.config.charging_unit);
-                    self.units_total += units;
-                    self.count_draining -= 1;
-                    self.instance_time += end - charge_start;
-                    self.instance_bills.push(InstanceBill {
-                        instance: inst.id,
-                        charged_from: Some(charge_start),
-                        released_at: end,
-                        units,
-                    });
-                    inst.state = InstanceState::Terminated {
-                        charge_start,
-                        at: end,
-                    };
-                    billed = Some(units);
-                }
-                InstanceState::Launching { .. } => {
-                    // Requested but not yet booted when the workflow finished:
-                    // the unit it would have started is still paid (a real VM
-                    // boots and is killed immediately).
-                    self.units_total += 1;
-                    self.count_launching -= 1;
-                    self.instance_bills.push(InstanceBill {
-                        instance: inst.id,
-                        charged_from: None,
-                        released_at: self.clock,
-                        units: 1,
-                    });
-                    inst.state = InstanceState::Terminated {
-                        charge_start: self.clock,
-                        at: self.clock,
-                    };
-                    billed = Some(1);
-                }
-                InstanceState::Terminated { .. } => {}
-            }
-            if let Some(units) = billed {
-                #[cfg(debug_assertions)]
-                {
-                    self.debug_billed += units;
-                }
-                self.cost_milli += units
-                    * self.config.families[self.instance_family[i] as usize].unit_price_milli();
-                self.emit(TelemetryEvent::InstanceTerminated {
-                    instance: i as u32,
-                    units,
-                });
+            if self.instances[i].is_active() {
+                self.release(InstanceId(i as u32), false);
             }
         }
-        self.dispatchable.clear();
-        // every row goes: the instances above are all terminated now
-        self.snapshot_scratch.instances.clear();
-        self.snapshot_scratch.clear_instance_marks();
         self.note_pool_change();
     }
 
@@ -1773,6 +1650,36 @@ impl<'a, P: ScalingPolicy, R: Recorder, S: Scheduler> Engine<'a, P, R, S> {
     }
 }
 
+/// The bill for releasing `inst` at `now`: one unit per charging unit
+/// started ([`Instance::units_billed`]); `forgive` drops the unit in
+/// progress instead (a provider eviction). A launching instance owes the
+/// unit its boot would start. A draining one is released at its drain
+/// boundary, or at `now` when the run ends first; either end bills the
+/// same units, since the boundary closes the unit the drain began in.
+/// `None` for a terminated instance.
+fn owed_bill(inst: &Instance, now: Millis, unit: Millis, forgive: bool) -> Option<InstanceBill> {
+    let (charged_from, released_at) = match inst.state {
+        InstanceState::Launching { .. } => (None, now),
+        InstanceState::Running { charge_start } => (Some(charge_start), now),
+        InstanceState::Draining {
+            charge_start,
+            terminate_at,
+        } => (Some(charge_start), now.min(terminate_at)),
+        InstanceState::Terminated { .. } => return None,
+    };
+    let units = match charged_from {
+        None => 1,
+        Some(from) if forgive => Instance::units_billed_forgiven(from, released_at, unit),
+        Some(from) => Instance::units_billed(from, released_at, unit),
+    };
+    Some(InstanceBill {
+        instance: inst.id,
+        charged_from,
+        released_at,
+        units,
+    })
+}
+
 /// Persistent backing store for the per-tick [`MonitorSnapshot`]. All Vecs
 /// keep their capacity across ticks, so after warm-up the monitor phase
 /// allocates nothing.
@@ -1885,30 +1792,23 @@ fn running_view(run: &RunInfo, now: Millis) -> TaskView {
     }
 }
 
-/// The policy-visible view of a non-terminated instance.
-fn render_instance(inst: &Instance, arena: &SlotArena, family: FamilyId) -> InstanceView {
-    InstanceView {
-        id: inst.id,
-        state: state_view(inst.state),
-        tasks: arena.tasks_of(inst.id).collect(),
-        free_slots: arena.width_of(inst.id) - inst.occupied,
-        family,
-    }
-}
-
-/// [`render_instance`] into an existing row, reusing its task Vec.
-fn render_instance_into(
-    view: &mut InstanceView,
+/// The policy-visible view of a non-terminated instance; its task list
+/// reuses the buffer `tasks`.
+fn render_instance(
     inst: &Instance,
     arena: &SlotArena,
     family: FamilyId,
-) {
-    view.id = inst.id;
-    view.state = state_view(inst.state);
-    view.free_slots = arena.width_of(inst.id) - inst.occupied;
-    view.family = family;
-    view.tasks.clear();
-    view.tasks.extend(arena.tasks_of(inst.id));
+    mut tasks: Vec<TaskId>,
+) -> InstanceView {
+    tasks.clear();
+    tasks.extend(arena.tasks_of(inst.id));
+    InstanceView {
+        id: inst.id,
+        state: state_view(inst.state),
+        tasks,
+        free_slots: arena.width_of(inst.id) - inst.occupied,
+        family,
+    }
 }
 
 fn state_view(state: InstanceState) -> InstanceStateView {
@@ -1969,11 +1869,12 @@ fn build_snapshot<'a, S: Scheduler>(
         let inst = &instances[id.index()];
         match rows.binary_search_by_key(&id, |v| v.id) {
             Ok(r) if inst.is_active() => {
-                render_instance_into(&mut rows[r], inst, arena, family_of(inst))
+                let tasks = std::mem::take(&mut rows[r].tasks);
+                rows[r] = render_instance(inst, arena, family_of(inst), tasks);
             }
             Ok(_) => terminated = true,
             Err(r) if inst.is_active() => {
-                rows.insert(r, render_instance(inst, arena, family_of(inst)))
+                rows.insert(r, render_instance(inst, arena, family_of(inst), Vec::new()))
             }
             Err(_) => {} // launched and terminated since the last build
         }
@@ -2008,7 +1909,7 @@ fn build_snapshot<'a, S: Scheduler>(
             let inst = active.next().expect("instance row without a live instance");
             debug_assert_eq!(
                 *row,
-                render_instance(inst, arena, family_of(inst)),
+                render_instance(inst, arena, family_of(inst), Vec::new()),
                 "stale instance row {}",
                 inst.id
             );

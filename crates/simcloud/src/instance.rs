@@ -207,12 +207,6 @@ impl SlotArena {
     pub fn occupied_count(&self, id: InstanceId) -> usize {
         self.of(id).iter().filter(|s| s.is_some()).count()
     }
-
-    /// Clear every cell of one instance (termination).
-    pub fn clear_instance(&mut self, id: InstanceId) {
-        let (base, end) = self.range(id);
-        self.cells[base..end].fill(None);
-    }
 }
 
 #[cfg(test)]
@@ -244,8 +238,9 @@ mod tests {
         assert_eq!(a.occupied_count(InstanceId(1)), 0);
         let held: Vec<TaskId> = a.tasks_of(InstanceId(0)).collect();
         assert_eq!(held, vec![TaskId(5), TaskId(6)]);
-        a.clear_instance(InstanceId(0));
-        assert_eq!(a.occupied_count(InstanceId(0)), 0);
+        a.set(InstanceId(0), 0, None);
+        assert_eq!(a.free_slot(InstanceId(0)), Some(0));
+        assert_eq!(a.occupied_count(InstanceId(0)), 1);
     }
 
     #[test]
@@ -264,7 +259,7 @@ mod tests {
         assert_eq!(a.free_slot(InstanceId(2)), None);
         // neighbours untouched
         assert_eq!(a.occupied_count(InstanceId(0)), 0);
-        a.clear_instance(InstanceId(1));
+        a.set(InstanceId(1), 3, None);
         assert_eq!(a.occupied_count(InstanceId(1)), 0);
         assert_eq!(a.occupied_count(InstanceId(2)), 1);
     }

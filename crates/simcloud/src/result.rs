@@ -134,9 +134,17 @@ impl RunResult {
         (self.busy_slot_time.as_ms() + self.wasted_slot_time.as_ms()) as f64 / avail
     }
 
-    /// Check that the per-instance breakdown sums to the total bill.
+    /// Check that the per-instance breakdown sums to the total bill, and
+    /// that `instance_time` is the sum of every bill's charged span
+    /// (`released_at − charged_from`; a never-booted instance has none).
     pub fn bills_are_consistent(&self) -> bool {
-        self.instance_bills.iter().map(|b| b.units).sum::<u64>() == self.charging_units
+        let bills = &self.instance_bills;
+        let charged: Millis = bills
+            .iter()
+            .filter_map(|b| b.charged_from.map(|from| b.released_at - from))
+            .sum();
+        bills.iter().map(|b| b.units).sum::<u64>() == self.charging_units
+            && charged == self.instance_time
     }
 
     /// Average pool size over the run.
@@ -186,6 +194,29 @@ mod tests {
         // pool: 20 min × 2 slots = 40; used 40 → 1.0
         assert!((r.pool_utilization(2) - 1.0).abs() < 1e-9);
         assert!((r.mean_pool_size() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bills_reconcile_units_and_instance_time() {
+        let bill = |from: Option<u64>, to: u64, units: u64| InstanceBill {
+            instance: crate::InstanceId(0),
+            charged_from: from.map(Millis::from_mins),
+            released_at: Millis::from_mins(to),
+            units,
+        };
+        let mut r = result();
+        // 12 + 8 charged minutes; the never-booted instance adds none
+        r.instance_bills = vec![
+            bill(Some(0), 12, 2),
+            bill(Some(2), 10, 1),
+            bill(None, 10, 1),
+        ];
+        assert!(r.bills_are_consistent());
+        r.instance_time = Millis::from_mins(19);
+        assert!(!r.bills_are_consistent());
+        r.instance_time = Millis::from_mins(20);
+        r.charging_units = 5;
+        assert!(!r.bills_are_consistent());
     }
 
     #[test]

@@ -116,11 +116,12 @@ fn per_instance_bills_sum_to_total() {
             let r = Cell::grid(workload, setting, U15, 9).run(None, None);
             assert!(
                 r.bills_are_consistent(),
-                "{} {}: bills {:?} != total {}",
+                "{} {}: bills do not reconcile with {} units and {} instance time: {:?}",
                 workload.name(),
                 setting.label(),
-                r.instance_bills.iter().map(|b| b.units).sum::<u64>(),
-                r.charging_units
+                r.charging_units,
+                r.instance_time,
+                r.instance_bills
             );
         }
     }
